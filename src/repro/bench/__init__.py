@@ -12,7 +12,6 @@ from .scale import (
     QueryEngineBench,
     ScaleDatapoint,
     build_report,
-    check_report,
     run_placement_scale,
     run_query_engines,
 )
@@ -24,5 +23,5 @@ __all__ = [
     "host_load_imbalance",
     "ScaleDatapoint", "QueryEngineBench",
     "run_placement_scale", "run_query_engines",
-    "build_report", "check_report",
+    "build_report",
 ]

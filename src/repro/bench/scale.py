@@ -17,25 +17,21 @@ Two measurements feed the ledger:
   member set by all three engines: the tree-walking evaluator, the
   compiled closure plan, and the inverted-index Collection.
 
-The split matters for CI: the ``scale-smoke`` job regenerates a small
-profile and fails if any *deterministic* field drifted from the
-committed datapoint (the ledger is stale — someone changed behaviour
-without regenerating) or if events/sec fell below ``min_ratio`` times
-the committed speed (a real performance regression, with a generous
-tolerance for machine variance).  All wall-clock numbers come from the
-monotonic :func:`time.perf_counter`.
-
-Regenerate the committed ledger with::
-
-   PYTHONPATH=src python -m repro.tools.cli scale --out BENCH_scale.json
+The split matters for ``legion-sim ledger check scale``
+(:mod:`repro.bench.ledger`): it fails if any *deterministic* field
+drifted from the committed datapoint (the ledger is stale — someone
+changed behaviour without regenerating) or if events/sec fell below
+``DEFAULT_MIN_RATIO`` times the committed speed (a real performance
+regression, with a generous tolerance for machine variance).  All
+wall-clock numbers come from the monotonic :func:`time.perf_counter`.
+Regenerate the committed ledger with ``legion-sim ledger write scale``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from ..collection.collection import Collection
 from ..collection.indexing import IndexedCollection
@@ -55,7 +51,6 @@ __all__ = [
     "run_placement_scale",
     "run_query_engines",
     "build_report",
-    "check_report",
     "placement_table",
     "engine_table",
 ]
@@ -69,7 +64,7 @@ SCALE_QUERY = ('$host_arch == "sparc" and $site == "site4" '
 DEFAULT_SIZES = (64, 256, 1024)
 
 #: regenerated events/sec may drop to this fraction of the committed
-#: value before the smoke job fails — generous, because CI machines vary
+#: value before the ledger check fails — generous, because machines vary
 DEFAULT_MIN_RATIO = 0.3
 
 #: fields of a datapoint that must reproduce bit-for-bit on any machine
@@ -252,69 +247,6 @@ def build_report(sizes: Sequence[int] = DEFAULT_SIZES,
         "sizes": [asdict(p) for p in points],
         "query_engines": asdict(engines),
     }
-
-
-def report_to_json(report: Dict[str, Any]) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
-
-
-def check_report(committed: Dict[str, Any], fresh: Dict[str, Any],
-                 min_ratio: Optional[float] = None) -> List[str]:
-    """Compare a fresh run against the committed ledger.
-
-    Returns a list of human-readable problems (empty = pass):
-
-    * a fresh datapoint whose identity (hosts/waves/per_wave/seed/
-      scheduler) is absent from the committed ledger, or any
-      deterministic field that differs → the committed ledger is stale;
-    * fresh events/sec below ``min_ratio`` x committed → regression;
-    * the compiled engine slower than the acceptance floor (2x over
-      tree-walk at >= 4096 members, 1.2x on smaller smoke profiles).
-    """
-    if min_ratio is None:
-        min_ratio = float(committed.get("min_ratio", DEFAULT_MIN_RATIO))
-    problems: List[str] = []
-
-    def identity(p: Dict[str, Any]) -> tuple:
-        return (p["hosts"], p["waves"], p["per_wave"], p["seed"],
-                p["scheduler"])
-
-    committed_points = {identity(p): p for p in committed.get("sizes", [])}
-    for point in fresh.get("sizes", []):
-        base = committed_points.get(identity(point))
-        if base is None:
-            problems.append(
-                f"no committed datapoint for {point['hosts']} hosts "
-                f"(waves={point['waves']}, per_wave={point['per_wave']}, "
-                f"seed={point['seed']}, "
-                f"scheduler={point['scheduler']}) — regenerate "
-                f"BENCH_scale.json")
-            continue
-        for key in DETERMINISTIC_FIELDS:
-            if base[key] != point[key]:
-                problems.append(
-                    f"{point['hosts']} hosts: committed {key}="
-                    f"{base[key]!r} but this run produced "
-                    f"{point[key]!r} — the ledger is stale, regenerate "
-                    f"BENCH_scale.json")
-        base_speed = float(base.get("events_per_s", 0.0))
-        if base_speed > 0 and \
-                point["events_per_s"] < min_ratio * base_speed:
-            problems.append(
-                f"{point['hosts']} hosts: events/sec regressed to "
-                f"{point['events_per_s']:.0f} "
-                f"(committed {base_speed:.0f}, tolerance floor "
-                f"{min_ratio * base_speed:.0f})")
-
-    engines = fresh.get("query_engines")
-    if engines:
-        floor = 2.0 if engines["members"] >= 4096 else 1.2
-        if engines["compiled_speedup"] < floor:
-            problems.append(
-                f"compiled query plan only "
-                f"{engines['compiled_speedup']:.2f}x over tree-walk at "
-                f"{engines['members']} members (floor {floor}x)")
-    return problems
 
 
 # -- rendering ---------------------------------------------------------------

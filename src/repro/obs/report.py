@@ -17,7 +17,8 @@ into a single renderable/exportable document:
 
 The JSON export sorts keys and contains only virtual-clock values, so
 two identical seeded runs produce byte-identical reports — the property
-the ``slo-smoke`` CI job pins.  ``legion-sim slo`` renders either form.
+the ``BENCH_slo.json`` ledger pins.  ``legion-sim slo`` renders either
+form; :func:`run_slo_campaign` is the seeded run behind both.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "build_health_report",
     "health_report_to_json",
     "render_health_report",
+    "run_slo_campaign",
 ]
 
 #: how many step rows the critical-step section keeps
@@ -99,6 +101,64 @@ def build_health_report(sampler: MetricsSampler,
             for r in steps[:TOP_STEPS]]
         report["dominant_steps"] = _dominant_tally(spans)
     return report
+
+
+def run_slo_campaign(seed: int = 0, n_domains: int = 2,
+                     hosts_per_domain: int = 4, platform_mix: int = 2,
+                     background_load: float = 0.5, waves: int = 6,
+                     per_wave: int = 4, work: float = 250.0,
+                     wave_interval: float = 90.0, scheduler: str = "irs",
+                     window: float = 30.0, chaos_profile: str = "",
+                     chaos_seed: int = 0, chaos_horizon: float = 0.0,
+                     guardrails: bool = False, retry: bool = False,
+                     specs: Optional[Sequence[SLOSpec]] = None,
+                     include_windows: bool = True,
+                     **federation: Any) -> Dict[str, Any]:
+    """Run seeded placement waves under windowed sampling and return the
+    health report (``specs`` defaults to the stock Legion objectives).
+
+    ``federation`` passes the ``federation_*``/``gossip_interval``
+    fields through to the :class:`~repro.workload.testbed.TestbedSpec`.
+    Raises ``ValueError`` for an unknown scheduler kind.
+    """
+    from ..errors import LegionError
+    from ..scheduler.base import ObjectClassRequest
+    from ..workload.testbed import (
+        TestbedSpec,
+        build_testbed,
+        implementations_for_all_platforms,
+    )
+
+    meta = build_testbed(TestbedSpec(
+        n_domains=n_domains, hosts_per_domain=hosts_per_domain,
+        platform_mix=platform_mix, background_load_mean=background_load,
+        seed=seed, chaos_profile=chaos_profile, chaos_seed=chaos_seed,
+        chaos_horizon=chaos_horizon, guardrails=guardrails,
+        sampler_window=window, **federation))
+    if retry:
+        meta.enable_retries()
+    app = meta.create_class("cli-app", implementations_for_all_platforms(),
+                            work_units=work)
+    sched = meta.make_scheduler(scheduler)
+    for _wave in range(waves):
+        try:
+            sched.run([ObjectClassRequest(app, count=per_wave)])
+        except LegionError:
+            pass
+        meta.advance(wave_interval)
+    if meta.chaos is not None:
+        meta.chaos.teardown()
+    meta.sampler.flush()
+    return build_health_report(
+        meta.sampler,
+        list(specs) if specs is not None else meta.default_slos(),
+        spans=meta.spans.spans,
+        title=f"slo health: {waves} x {per_wave} instances via "
+              f"{scheduler} (seed {seed}"
+              + (f", chaos {chaos_profile}/{chaos_seed}"
+                 if chaos_profile else "")
+              + (", guardrails" if guardrails else "") + ")",
+        include_windows=include_windows)
 
 
 def health_report_to_json(report: Dict[str, Any],

@@ -401,7 +401,7 @@ def spans_to_jsonl(spans: Sequence[Span]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# validation (the CI smoke check)
+# validation
 # ---------------------------------------------------------------------------
 _REQUIRED_BY_PHASE = {
     "X": ("name", "pid", "tid", "ts", "dur"),

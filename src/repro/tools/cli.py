@@ -20,9 +20,8 @@ module provides their simulated analogues over a reproducible testbed:
    $ legion-sim chaos --profile lossy --compare-retry
    $ legion-sim chaos --profile mixed --retry --out report.json
    $ legion-sim chaos --profile hosts --retry --guardrails
-   $ legion-sim guardrails --compare --out BENCH_guardrails.json
-   $ legion-sim scale --out BENCH_scale.json
-   $ legion-sim scale --sizes 16,32 --check BENCH_scale.json
+   $ legion-sim guardrails --compare --out comparison.json
+   $ legion-sim scale --sizes 16,32
    $ legion-sim metrics --quantiles p50,p90,p99
    $ legion-sim trace steps --count 6
    $ legion-sim slo --window 30 --chaos-profile hosts --chaos-seed 1
@@ -31,13 +30,15 @@ module provides their simulated analogues over a reproducible testbed:
    $ legion-sim run --count 4 --scheduler cost
    $ legion-sim economy --mode cost --users 3 --budget 100
    $ legion-sim economy --mode time --chaos-profile lossy --retry
-   $ legion-sim economy --compare-baselines --out BENCH_economy.json
+   $ legion-sim economy --compare-baselines --out comparison.json
    $ legion-sim serve --users 1000000 --duration 240 --workers 4
    $ legion-sim serve --queue-cap 0 --allow-exhausted
-   $ legion-sim serve --compare-shedding --out BENCH_service.json
+   $ legion-sim serve --compare-shedding --out comparison.json
    $ legion-sim gameday --seed 7 --kills 2
    $ legion-sim gameday --checkpoint-at 180 --lease-ttl 20
-   $ legion-sim gameday --compare-restore --out BENCH_gameday.json
+   $ legion-sim gameday --compare-restore --out comparison.json
+   $ legion-sim ledger check
+   $ legion-sim ledger write service gameday
 
 ``repro-cli`` is an alias of the same entry point.
 
@@ -52,6 +53,7 @@ import sys
 from typing import Optional, Sequence
 
 from ..bench.harness import ExperimentTable
+from ..bench import ledger
 from ..errors import LegionError
 from ..metasystem import Metasystem
 from ..scheduler.base import ObjectClassRequest
@@ -79,9 +81,7 @@ def _build_meta(args: argparse.Namespace) -> Metasystem:
         federation_cache_ttl=args.cache_ttl,
         chaos_profile=getattr(args, "chaos_profile", ""),
         chaos_seed=getattr(args, "chaos_seed", 0),
-        chaos_horizon=getattr(args, "chaos_horizon", 0.0),
-        guardrails=getattr(args, "guardrails", False),
-        sampler_window=getattr(args, "sampler_window", 0.0)))
+        chaos_horizon=getattr(args, "chaos_horizon", 0.0)))
 
 
 def _build_workload(args: argparse.Namespace, out, kind: str = ""):
@@ -120,6 +120,13 @@ def _campaign_kwargs(args: argparse.Namespace, **extra) -> dict:
             kwargs[key] = getattr(args, arg_name)
     kwargs.update(extra)
     return kwargs
+
+
+def _write_out(path: str, doc: dict, what: str, out) -> None:
+    """Write ``--out`` (when given) in the ledger byte form."""
+    if path:
+        ledger.write_json(path, doc)
+        print(f"wrote {what} to {path}", file=out)
 
 
 def _add_testbed_args(parser: argparse.ArgumentParser) -> None:
@@ -449,13 +456,9 @@ def cmd_chaos(args: argparse.Namespace, out) -> int:
               f"{100.0 * with_retry.placement_success_rate:.1f}%, "
               f"completed {base.instances_completed} -> "
               f"{with_retry.instances_completed}", file=out)
-    report = reports[-1]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
-        print(f"wrote ResilienceReport to {args.out}", file=out)
-    residual = max(len(r.residual_faults) for r in reports)
-    if residual:
+    _write_out(args.out, reports[-1].to_dict(), "ResilienceReport", out)
+    if not all(ledger.no_residual_faults(r.to_dict()) for r in reports):
+        residual = max(len(r.residual_faults) for r in reports)
         print(f"ERROR: {residual} residual fault(s) survived teardown",
               file=out)
         return 1
@@ -467,8 +470,8 @@ def cmd_guardrails(args: argparse.Namespace, out) -> int:
 
     With ``--compare`` (the headline mode) the identical seeded campaign
     runs three times — guardrails+retries, retries-only, and bare — and
-    the exit status is nonzero if guardrails *regressed* survival, which
-    is what the ``guardrails-smoke`` CI job gates on.
+    the exit status is nonzero if guardrails *regressed* survival (the
+    ``guardrails`` ledger's ``survival_not_regressed`` gate).
     """
     from ..guardrails.compare import run_comparison
     try:
@@ -483,11 +486,9 @@ def cmd_guardrails(args: argparse.Namespace, out) -> int:
     if not args.compare:
         print(file=out)
         print(cmp.reports["guardrails"].summary(), file=out)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(cmp.to_json() + "\n")
-        print(f"wrote guardrails comparison to {args.out}", file=out)
-    if cmp.survival_delta < 0:
+    doc = cmp.to_dict()
+    _write_out(args.out, doc, "guardrails comparison", out)
+    if not ledger.survival_not_regressed(doc):
         print(f"ERROR: guardrails regressed survival by "
               f"{-100.0 * cmp.survival_delta:.1f} percentage points",
               file=out)
@@ -501,16 +502,15 @@ def cmd_slo(args: argparse.Namespace, out) -> int:
     traces, and the critical-path steps behind them.
 
     The exit status is nonzero when any error budget is exhausted
-    (suppress with ``--allow-exhausted``) — what the ``slo-smoke`` CI
-    job gates on, together with byte-identical reports across two
-    identical seeded runs.
+    (suppress with ``--allow-exhausted``) — the ``slo`` ledger's
+    ``healthy`` and ``guardrails_budgets_intact`` gates.
     """
     import json
 
     from ..obs.report import (
-        build_health_report,
         health_report_to_json,
         render_health_report,
+        run_slo_campaign,
     )
     from ..obs.slo import specs_from_dict
 
@@ -537,63 +537,36 @@ def cmd_slo(args: argparse.Namespace, out) -> int:
             print(f"slo error: {exc}", file=out)
             return 2
         print(cmp.summary(), file=out)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(cmp.to_json() + "\n")
-            print(f"wrote guardrails SLO comparison to {args.out}",
-                  file=out)
-        exhausted = cmp.reports["guardrails"].slo["exhausted"]
-        if exhausted and not args.allow_exhausted:
+        doc = cmp.to_dict()
+        _write_out(args.out, doc, "guardrails SLO comparison", out)
+        if not (ledger.guardrails_budgets_intact(doc)
+                or args.allow_exhausted):
+            exhausted = doc["modes"]["guardrails"]["slo"]["exhausted"]
             print(f"ERROR: {exhausted} error budget(s) exhausted with "
                   f"guardrails on", file=out)
             return 1
         return 0
 
-    args.sampler_window = args.window
     try:
-        meta = _build_meta(args)
-    except LegionError as exc:
+        report = run_slo_campaign(**_campaign_kwargs(
+            args, scheduler=args.scheduler, window=args.window,
+            chaos_profile=args.chaos_profile, chaos_seed=args.chaos_seed,
+            chaos_horizon=args.chaos_horizon, guardrails=args.guardrails,
+            retry=args.retry, specs=specs,
+            include_windows=not args.no_windows,
+            federation_shards=args.shards,
+            federation_replication=args.replication,
+            gossip_interval=args.gossip_interval,
+            federation_cache_ttl=args.cache_ttl))
+    except (LegionError, ValueError) as exc:
         print(f"slo error: {exc}", file=out)
         return 2
-    if args.retry:
-        meta.enable_retries()
-    app = meta.create_class("cli-app",
-                            implementations_for_all_platforms(),
-                            work_units=args.work)
-    try:
-        scheduler = meta.make_scheduler(args.scheduler)
-    except ValueError as exc:
-        print(str(exc), file=out)
-        return 2
-    for _wave in range(args.waves):
-        try:
-            scheduler.run([ObjectClassRequest(app, count=args.count)])
-        except LegionError:
-            pass
-        meta.advance(args.wave_interval)
-    if meta.chaos is not None:
-        meta.chaos.teardown()
-
-    meta.sampler.flush()
-    report = build_health_report(
-        meta.sampler,
-        list(specs) if specs is not None else meta.default_slos(),
-        spans=meta.spans.spans,
-        title=f"slo health: {args.waves} x {args.count} instances via "
-              f"{args.scheduler} (seed {args.seed}"
-              + (f", chaos {args.chaos_profile}/{args.chaos_seed}"
-                 if args.chaos_profile else "")
-              + (", guardrails" if args.guardrails else "") + ")",
-        include_windows=not args.no_windows)
     if args.format == "json":
         print(health_report_to_json(report), file=out)
     else:
         print(render_health_report(report), file=out)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(health_report_to_json(report) + "\n")
-        print(f"wrote SLO health report to {args.out}", file=out)
-    if not report["healthy"] and not args.allow_exhausted:
+    _write_out(args.out, report, "SLO health report", out)
+    if not ledger.budgets_intact(report) and not args.allow_exhausted:
         print("ERROR: error budget exhausted "
               f"({report['minutes_lost']:g} SLO minutes lost)", file=out)
         return 1
@@ -601,15 +574,9 @@ def cmd_slo(args: argparse.Namespace, out) -> int:
 
 
 def cmd_scale(args: argparse.Namespace, out) -> int:
-    """Run the scale campaign and write/check the BENCH_scale.json ledger.
-
-    ``--check FILE`` compares this run against a committed ledger: the
-    exit status is nonzero when a deterministic field drifted (the
-    ledger is stale) or events/sec regressed beyond tolerance — what
-    the ``scale-smoke`` CI job gates on.
-    """
-    import json
-
+    """Run the scale campaign and print its placement and query-engine
+    tables; ``legion-sim ledger check|write scale`` owns the committed
+    BENCH_scale.json ledger and its speed gate."""
     from ..bench import scale as scale_bench
     try:
         sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
@@ -627,24 +594,8 @@ def cmd_scale(args: argparse.Namespace, out) -> int:
         return 2
     scale_bench.placement_table(report["sizes"]).print(out)
     scale_bench.engine_table(report["query_engines"]).print(out)
-    status = 0
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as fh:
-            committed = json.load(fh)
-        problems = scale_bench.check_report(
-            committed, report,
-            min_ratio=args.min_ratio if args.min_ratio > 0 else None)
-        for problem in problems:
-            print(f"ERROR: {problem}", file=out)
-        if problems:
-            status = 1
-        else:
-            print(f"ledger check passed against {args.check}", file=out)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(scale_bench.report_to_json(report) + "\n")
-        print(f"wrote scale ledger to {args.out}", file=out)
-    return status
+    _write_out(args.out, report, "scale ledger", out)
+    return 0
 
 
 def cmd_economy(args: argparse.Namespace, out) -> int:
@@ -654,8 +605,8 @@ def cmd_economy(args: argparse.Namespace, out) -> int:
     With ``--compare-baselines`` (the headline mode) the identical seeded
     world is replayed under the economy scheduler and each baseline; the
     exit status is nonzero unless the economy beats Random *and* IRS on
-    both deadline-miss rate and total metered cost — what the
-    ``economy-smoke`` CI job gates on.
+    both deadline-miss rate and total metered cost — the ``economy``
+    ledger's ``economy_beats_baselines`` gate.
     """
     from ..economy.campaign import run_economy, run_economy_comparison
     kwargs = _campaign_kwargs(
@@ -669,13 +620,10 @@ def cmd_economy(args: argparse.Namespace, out) -> int:
             print(cmp.summary(), file=out)
             print(file=out)
             print(cmp.reports["economy"].summary(), file=out)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(cmp.to_json() + "\n")
-                print(f"wrote economy comparison to {args.out}", file=out)
-            if not cmp.economy_beats_baselines:
-                losses = [b for b in cmp.gate_baselines
-                          if not cmp.beats(b)]
+            doc = cmp.to_dict()
+            _write_out(args.out, doc, "economy comparison", out)
+            if not ledger.economy_beats_baselines(doc):
+                losses = [b for b, won in doc["gate"].items() if not won]
                 print(f"ERROR: economy does not beat "
                       f"{', '.join(losses)} on both deadline-miss rate "
                       f"and total cost", file=out)
@@ -683,10 +631,7 @@ def cmd_economy(args: argparse.Namespace, out) -> int:
             return 0
         report = run_economy(scheduler=args.scheduler, **kwargs)
         print(report.summary(), file=out)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json() + "\n")
-            print(f"wrote EconomyReport to {args.out}", file=out)
+        _write_out(args.out, report.to_dict(), "EconomyReport", out)
         return 0
     except (LegionError, ValueError) as exc:
         print(f"economy error: {exc}", file=out)
@@ -704,7 +649,7 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
     and the exit status is nonzero unless shedding protects the e2e
     latency SLO: the surge must exhaust the latency error budget with
     shedding off while the bounded run keeps p99 inside its threshold —
-    what the ``service-smoke`` CI job gates on.
+    the ``service`` ledger's ``shedding_protects_slo`` gate.
     """
     from ..service.report import run_service, run_service_comparison
     kwargs = _campaign_kwargs(
@@ -722,21 +667,16 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
             print(cmp.summary(), file=out)
             print(file=out)
             print(cmp.reports["shedding"].summary(), file=out)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(cmp.to_json() + "\n")
-                print(f"wrote service comparison to {args.out}", file=out)
-            if not cmp.shedding_protects_slo:
+            doc = cmp.to_dict()
+            _write_out(args.out, doc, "service comparison", out)
+            if not ledger.shedding_protects_slo(doc):
                 print("ERROR: shedding does not protect the e2e latency "
                       "SLO under this overload", file=out)
                 return 1
             return 0
         report = run_service(queue_cap=args.queue_cap, **kwargs)
         print(report.summary(), file=out)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json() + "\n")
-            print(f"wrote ServiceReport to {args.out}", file=out)
+        _write_out(args.out, report.to_dict(), "ServiceReport", out)
         if report.latency_budget_exhausted and not args.allow_exhausted:
             print("ERROR: e2e latency error budget exhausted", file=out)
             return 1
@@ -756,8 +696,8 @@ def cmd_gameday(args: argparse.Namespace, out) -> int:
     With ``--compare-restore`` (the headline mode) the identical seeded
     game day runs twice — straight through, then torn down mid-run and
     restored from a checkpoint — and the exit status is nonzero unless
-    both runs pass *and* their report cores match byte for byte, which
-    is what the ``gameday-smoke`` CI job gates on.
+    both runs pass *and* their report cores match byte for byte — every
+    gate of the ``gameday`` ledger.
     """
     from ..recovery import run_gameday, run_gameday_comparison
     kwargs = dict(seed=args.seed, users=args.users, duration=args.duration,
@@ -776,39 +716,42 @@ def cmd_gameday(args: argparse.Namespace, out) -> int:
             cmp = run_gameday_comparison(
                 checkpoint_at=args.checkpoint_at or None, **kwargs)
             print(cmp.summary(), file=out)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(cmp.to_json() + "\n")
-                print(f"wrote gameday comparison to {args.out}", file=out)
-            if not cmp.passed:
-                problems = []
-                for tag, rep in (("straight", cmp.straight),
-                                 ("restored", cmp.restored)):
-                    if rep.lost:
-                        problems.append(f"{tag}: {rep.lost} request(s) lost")
-                    if rep.duplicates:
-                        problems.append(f"{tag}: {rep.duplicates} duplicate "
-                                        f"placement(s)")
-                    if not rep.recovered:
-                        problems.append(f"{tag}: no orphan recovered")
-                if not cmp.byte_identical:
-                    problems.append("restored run diverged from the "
-                                    "uninterrupted run")
-                for problem in problems or ["gameday gate failed"]:
-                    print(f"ERROR: {problem}", file=out)
-                return 1
-            return 0
+            doc = cmp.to_dict()
+            _write_out(args.out, doc, "gameday comparison", out)
+            failed = ledger.LEDGERS["gameday"].failed(doc)
+            for gate in failed:
+                print(f"ERROR: gameday gate {gate} failed", file=out)
+            return 1 if failed else 0
         report = run_gameday(checkpoint_at=args.checkpoint_at or None,
                              **kwargs)
         print(report.summary(), file=out)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json() + "\n")
-            print(f"wrote GamedayReport to {args.out}", file=out)
+        _write_out(args.out, report.to_dict(), "GamedayReport", out)
         return 0 if report.passed else 1
     except (LegionError, ValueError) as exc:
         print(f"gameday error: {exc}", file=out)
         return 2
+
+
+def cmd_ledger(args: argparse.Namespace, out) -> int:
+    """Check or regenerate committed ledgers (``repro.bench.ledger``)."""
+    unknown = [name for name in args.names if name not in ledger.LEDGERS]
+    if unknown:
+        print(f"unknown ledger(s) {', '.join(unknown)}; expected any of "
+              f"{', '.join(ledger.LEDGERS)}", file=out)
+        return 2
+    chosen = [ledger.LEDGERS[name]
+              for name in args.names or ledger.LEDGERS]
+    if args.action == "write":
+        for entry in chosen:
+            print(f"wrote {ledger.write(entry)}", file=out)
+        return 0
+    problems = [p for entry in chosen for p in ledger.check(entry)]
+    for problem in problems:
+        print(f"ERROR: {problem}", file=out)
+    if not problems:
+        print(f"ledger check passed: "
+              f"{', '.join(entry.name for entry in chosen)}", file=out)
+    return 1 if problems else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1021,8 +964,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_slo)
 
     p = sub.add_parser("scale",
-                       help="run the scale campaign and write/check the "
-                            "BENCH_scale.json speed ledger")
+                       help="run the scale campaign: placement waves vs "
+                            "system size and the query-engine microbench")
     p.add_argument("--sizes", default="64,256,1024",
                    help="comma-separated total host counts, each "
                         "divisible by 4 (default 64,256,1024)")
@@ -1039,13 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 4096)")
     p.add_argument("--reps", type=int, default=20,
                    help="timing repetitions per engine (default 20)")
-    p.add_argument("--check", default="", metavar="FILE",
-                   help="compare this run against a committed ledger; "
-                        "exit nonzero on staleness or speed regression")
-    p.add_argument("--min-ratio", type=float, default=0.0,
-                   help="events/sec tolerance floor as a fraction of "
-                        "the committed speed (default: the committed "
-                        "ledger's own min_ratio)")
     p.add_argument("--out", default="", metavar="FILE",
                    help="write the scale ledger JSON to FILE")
     p.set_defaults(fn=cmd_scale)
@@ -1212,6 +1148,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="", metavar="FILE",
                    help="write the report/comparison JSON to FILE")
     p.set_defaults(fn=cmd_gameday)
+
+    p = sub.add_parser("ledger",
+                       help="check or regenerate the committed "
+                            "BENCH_*.json ledgers")
+    p.add_argument("action", choices=("check", "write"),
+                   help="check = regenerate twice, byte-compare, diff "
+                        "against the committed file and evaluate every "
+                        "gate; write = regenerate the committed files")
+    p.add_argument("names", nargs="*", metavar="NAME",
+                   help=f"ledgers to act on (default all: "
+                        f"{', '.join(ledger.LEDGERS)})")
+    p.set_defaults(fn=cmd_ledger)
 
     p = sub.add_parser("bench", help="compare schedulers on one workload")
     _add_testbed_args(p)

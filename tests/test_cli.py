@@ -1,6 +1,7 @@
 """Tests for the legion-sim command-line tools."""
 
 import io
+import json
 
 import pytest
 
@@ -68,6 +69,42 @@ class TestRun:
         assert "unknown scheduler" in text
 
 
+class TestTraceExport:
+    RUN = ("run", "--seed", "0", "--count", "4", "--scheduler", "irs",
+           "--wait", "--trace-out")
+
+    def test_chrome_trace_is_valid_with_complete_events(self, tmp_path):
+        from repro.obs import validate_chrome_trace
+        path = tmp_path / "trace.json"
+        code, _ = run_cli(*self.RUN, str(path))
+        assert code == 0
+        obj = json.loads(path.read_text())
+        assert validate_chrome_trace(obj) == []
+        assert any(e["ph"] == "X" for e in obj["traceEvents"])
+
+    def test_jsonl_export_has_spans(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        code, _ = run_cli(*self.RUN, str(path))
+        assert code == 0
+        lines = path.read_text().splitlines()
+        assert sum(1 for line in lines if json.loads(line)) > 0
+
+
+class TestLedgerCommand:
+    def test_write_then_check_round_trips(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, text = run_cli("ledger", "write", "chaos")
+        assert code == 0 and "wrote BENCH_chaos.json" in text
+        code, text = run_cli("ledger", "check", "chaos")
+        assert code == 0
+        assert "ledger check passed: chaos" in text
+
+    def test_unknown_ledger_is_a_usage_error(self):
+        code, text = run_cli("ledger", "check", "nosuch")
+        assert code == 2
+        assert "unknown ledger(s) nosuch" in text
+
+
 class TestMetrics:
     def test_table_covers_instrumented_families(self):
         code, text = run_cli("metrics", "--count", "2", "--work", "50",
@@ -79,7 +116,6 @@ class TestMetrics:
             assert family in text
 
     def test_json_format_parses(self):
-        import json
         code, text = run_cli("metrics", "--count", "2", "--work", "50",
                              "--load", "0", "--format", "json")
         assert code == 0
@@ -174,12 +210,10 @@ class TestSLOCommand:
         a = run_cli(*args)
         b = run_cli(*args)
         assert a == b
-        import json
         doc = json.loads(a[1])
         assert doc["slos"] and "minutes_lost" in doc
 
     def test_out_writes_report_json(self, tmp_path):
-        import json
         path = tmp_path / "slo.json"
         code, text = run_cli("slo", "--waves", "2", "--load", "0",
                              "--out", str(path), "--no-windows")
@@ -189,7 +223,6 @@ class TestSLOCommand:
         assert f"wrote SLO health report to {path}" in text
 
     def test_custom_spec_file(self, tmp_path):
-        import json
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"slos": [
             {"name": "lenient", "kind": "latency", "target": 0.5,
@@ -249,11 +282,26 @@ class TestFederationCommand:
                              "--gossip-interval", "30",
                              "--cache-ttl", "60", "--wait")
         assert code == 0
-        assert "ring layout: 3 shards, replication 2" in text
-        assert "shard0" in text and "shard2" in text
-        assert "replica placement" in text
-        assert "cache hit ratio" in text
-        assert "rounds" in text
+        for needle in ("ring layout: 3 shards, replication 2",
+                       "shard0", "shard1", "shard2", "replica placement",
+                       "cache hit ratio", "gossip", "rounds"):
+            assert needle in text, needle
+
+    def test_federated_run_and_metric_families(self):
+        flags = ("--seed", "0", "--count", "4", "--scheduler", "irs",
+                 "--wait", "--shards", "3", "--replication", "2",
+                 "--gossip-interval", "30")
+        code, text = run_cli("run", *flags)
+        assert code == 0
+        assert "placed 4 instance(s)" in text
+        code, text = run_cli("metrics", *flags, "--format", "json")
+        assert code == 0
+        names = {m["name"] for m in json.loads(text)["metrics"]}
+        for family in ("federation_shard_queries_total",
+                       "federation_shard_writes_total",
+                       "federation_gossip_rounds_total",
+                       "federation_shard_members"):
+            assert family in names, family
 
     def test_defaults_to_three_shards(self):
         code, text = run_cli("federation")

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Implementation, Metasystem
+from repro.bench.ledger import LEDGERS
 from repro.errors import (
     AdmissionRejected,
     CircuitOpenError,
@@ -453,14 +454,8 @@ class TestCampaignComparison:
     fault timeline, guardrails+retries survives at least as well as
     retries-only while wasting strictly fewer reservation attempts."""
 
-    #: exactly the parameters `legion-sim guardrails --compare --domains 3
-    #: --hosts 6` used to produce the committed BENCH_guardrails.json
-    BENCH_KWARGS = dict(profile="hosts", chaos_seed=1, seed=0,
-                        scheduler="irs", waves=6, per_wave=4, work=250.0,
-                        wave_interval=90.0, horizon=None, n_domains=3,
-                        hosts_per_domain=6, platform_mix=2,
-                        background_load=0.5, shards=0,
-                        include_events=False)
+    #: the generator arguments of the committed BENCH_guardrails.json
+    BENCH_KWARGS = LEDGERS["guardrails"].kwargs
 
     @pytest.fixture(scope="class")
     def comparison(self):

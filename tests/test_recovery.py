@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.ledger import LEDGERS
 from repro.chaos.faults import make_fault
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import ChaosPlan
@@ -409,7 +410,7 @@ class TestGameday:
         """The BENCH_gameday acceptance: >= 2 worker kills mid-run, zero
         lost, zero duplicates, at least one recovery, and the restored
         run byte-identical to the uninterrupted one."""
-        cmp = run_gameday_comparison(seed=7, duration=120.0)
+        cmp = run_gameday_comparison(**LEDGERS["gameday"].kwargs)
         assert cmp.straight.worker_kills >= 2
         assert cmp.straight.lost == 0
         assert cmp.straight.duplicates == 0
