@@ -1,9 +1,9 @@
 """Render transport traces as ASCII sequence diagrams.
 
-The Tracer already records every ``net/invoke`` with source, destination,
-label, and round-trip time; :func:`render_sequence` turns a slice of those
-records into the classic lifeline diagram — the Fig. 3 protocol, drawn
-from an actual run:
+The transport records every ``net/invoke`` as a span event with source,
+destination, label, and round-trip time; :func:`render_sequence` turns a
+slice of those events into the classic lifeline diagram — the Fig. 3
+protocol, drawn from an actual run:
 
 .. code-block:: text
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from ..sim.tracing import TraceRecord, Tracer
+from ..obs.spans import SpanTracer
 
 __all__ = ["render_sequence", "protocol_trace"]
 
@@ -33,20 +33,22 @@ def _short(endpoint: str) -> str:
     return str(endpoint)
 
 
-def render_sequence(records: Iterable[TraceRecord],
+def render_sequence(events: Iterable[tuple],
                     max_label: int = 28,
                     column_width: int = 16) -> str:
-    """Render ``net/invoke`` trace records as a sequence diagram."""
-    invokes = [r for r in records
-               if r.category == "net" and r.event == "invoke"]
+    """Render ``net/invoke`` span events — ``(time, category, event,
+    details)`` tuples, as in :attr:`~repro.obs.spans.Span.events` — as a
+    sequence diagram."""
+    invokes = [details for _time, category, event, details in events
+               if category == "net" and event == "invoke"]
     if not invokes:
         return "(no invocations recorded)"
 
     # lifelines, in order of first appearance
     parties: List[str] = []
-    for rec in invokes:
-        for endpoint in (_short(rec.details.get("src")),
-                         _short(rec.details.get("dst"))):
+    for details in invokes:
+        for endpoint in (_short(details.get("src")),
+                         _short(details.get("dst"))):
             if endpoint not in parties:
                 parties.append(endpoint)
     width = max(column_width,
@@ -66,11 +68,11 @@ def render_sequence(records: Iterable[TraceRecord],
         header += p.center(width)
     lines.append(header.rstrip())
 
-    for rec in invokes:
-        src = _short(rec.details.get("src"))
-        dst = _short(rec.details.get("dst"))
-        label = str(rec.details.get("label", ""))[:max_label]
-        rtt = rec.details.get("rtt")
+    for details in invokes:
+        src = _short(details.get("src"))
+        dst = _short(details.get("dst"))
+        label = str(details.get("label", ""))[:max_label]
+        rtt = details.get("rtt")
         note = f"{label} ({float(rtt) * 1e3:.1f}ms)" if rtt is not None \
             else label
         a, b = col[src], col[dst]
@@ -111,11 +113,11 @@ def render_sequence(records: Iterable[TraceRecord],
     return "\n".join(lines)
 
 
-def protocol_trace(tracer: Tracer, since: float = 0.0,
+def protocol_trace(spans: SpanTracer, since: float = 0.0,
                    limit: Optional[int] = None) -> str:
-    """Sequence diagram of a tracer's invocations at/after ``since``."""
-    records = [r for r in tracer.select("net", "invoke")
-               if r.time >= since]
-    if limit is not None:
-        records = records[:limit]
-    return render_sequence(records)
+    """Sequence diagram of the invocations recorded in ``spans`` at/after
+    ``since``, in virtual-time order (ties keep span creation order)."""
+    invokes = sorted((e for span in spans.spans for e in span.events
+                      if e[1:3] == ("net", "invoke") and e[0] >= since),
+                     key=lambda e: e[0])
+    return render_sequence(invokes[:limit])

@@ -58,7 +58,6 @@ from ..schedule.schedule import (
     ScheduleRequestList,
     VariantSchedule,
 )
-from ..sim.tracing import Tracer
 from .coallocation import CoAllocator, ReservationOutcome
 
 __all__ = ["Enactor", "EnactResult", "EnactorStats"]
@@ -133,7 +132,6 @@ class Enactor:
 
     def __init__(self, transport: Transport, resolver: Resolver,
                  location: Optional[NetLocation] = None,
-                 tracer: Optional[Tracer] = None,
                  requester_domain: str = "",
                  offered_price: float = 0.0,
                  naive_variant_handling: bool = False,
@@ -144,7 +142,6 @@ class Enactor:
         self.transport = transport
         self.resolver = resolver
         self.location = location
-        self.tracer = tracer if tracer is not None else transport.tracer
         self.metrics = (metrics if metrics is not None
                         else MetricsRegistry(lambda: transport.sim.now))
         self.spans = spans if spans is not None else transport.spans
@@ -201,7 +198,7 @@ class Enactor:
                             m_span.set_status("error")
                     if feedback.ok:
                         neg_span.set_attribute("master", m_idx)
-                        self.tracer.emit(
+                        self.spans.event(
                             "enactor", "reserved", master=m_idx,
                             variant=(feedback.variant.label
                                      if feedback.variant else None))
@@ -517,7 +514,7 @@ class Enactor:
                         "enactor_unacked_creates_reaped_total", reaped)
         self.metrics.count("enactor_enactments_total",
                            ok=str(result.ok).lower())
-        self.tracer.emit("enactor", "enacted", ok=result.ok,
+        self.spans.event("enactor", "enacted", ok=result.ok,
                          created=len(result.created))
         return result
 

@@ -67,7 +67,6 @@ from .scheduler.round_robin import RoundRobinScheduler
 from .scheduler.stencil import StencilScheduler
 from .sim.kernel import Simulator
 from .sim.rng import RngRegistry
-from .sim.tracing import NullTracer, Tracer
 from .vaults.vault_object import VaultObject
 
 __all__ = ["Metasystem"]
@@ -95,7 +94,6 @@ class Metasystem:
                  reassess_interval: float = 30.0,
                  require_collection_auth: bool = True,
                  domain: str = "legion",
-                 trace_max_records: Optional[int] = None,
                  tracing: str = "spans",
                  federation: Any = None,
                  chaos: Any = None,
@@ -103,46 +101,34 @@ class Metasystem:
                  sampler: Any = None,
                  economy: Any = None,
                  service: Any = None):
-        if tracing not in ("off", "flat", "spans"):
+        if tracing not in ("off", "spans"):
             raise ValueError(
-                f"tracing must be 'off', 'flat' or 'spans', got {tracing!r}")
+                f"tracing must be 'off' or 'spans', got {tracing!r}")
         self.sim = Simulator()
         self.rngs = RngRegistry(seed)
         self.tracing = tracing
-        if tracing == "off":
-            self.tracer: Tracer = NullTracer()
-        else:
-            self.tracer = Tracer(lambda: self.sim.now,
-                                 max_records=trace_max_records)
+        self.metrics = MetricsRegistry(clock=lambda: self.sim.now)
         if tracing == "spans":
             self.spans: SpanTracer = SpanTracer(lambda: self.sim.now)
+            # outlier histogram buckets remember which trace produced them
+            self.metrics.set_exemplar_provider(
+                lambda: self.spans.current_trace_id)
         else:
             self.spans = NullSpanTracer()
-        self.metrics = MetricsRegistry(clock=lambda: self.sim.now)
         self.metrics.gauge_fn("sim_events_processed",
                               lambda: self.sim.events_processed,
                               help="kernel actions dispatched so far")
         self.metrics.gauge_fn("sim_queue_depth",
                               lambda: self.sim.queue_depth,
                               help="actions pending on the event heap")
-        self.metrics.gauge_fn("tracer_records",
-                              lambda: len(self.tracer),
-                              help="trace records currently retained")
         self.metrics.gauge_fn("span_records",
                               lambda: len(self.spans),
                               help="spans currently retained")
-        if tracing == "spans":
-            # flat records become span events; outlier histogram buckets
-            # remember which trace produced them (exemplars)
-            self.tracer.span_sink = self.spans
-            self.metrics.set_exemplar_provider(
-                lambda: self.spans.current_trace_id)
         self.topology = Topology()
         self.latency_model = latency_model or MetasystemLatencyModel(
             self.topology)
         self.transport = Transport(self.sim, self.topology,
                                    self.latency_model, self.rngs,
-                                   tracer=self.tracer,
                                    loss_probability=loss_probability,
                                    metrics=self.metrics,
                                    spans=self.spans)
@@ -175,7 +161,7 @@ class Metasystem:
         self._host_credentials: Dict[LOID, Credential] = {}
 
         self.enactor = Enactor(self.transport, self.resolve,
-                               tracer=self.tracer, metrics=self.metrics)
+                               metrics=self.metrics)
         self.migrator = Migrator(self.transport, self.resolve)
         self.monitor: Optional[ExecutionMonitor] = None
         self._machine_serial = itertools.count()

@@ -33,7 +33,6 @@ from ..obs.registry import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from ..obs.spans import SpanTracer, TraceContext
 from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
-from ..sim.tracing import Tracer
 from .latency import LatencyModel
 from .topology import NetLocation, Topology
 
@@ -73,7 +72,6 @@ class Transport:
 
     def __init__(self, sim: Simulator, topology: Topology,
                  latency_model: LatencyModel, rngs: RngRegistry,
-                 tracer: Optional[Tracer] = None,
                  loss_probability: float = 0.0,
                  metrics: Optional[MetricsRegistry] = None,
                  spans: Optional[SpanTracer] = None):
@@ -84,8 +82,6 @@ class Transport:
         self.latency_model = latency_model
         self.rng = rngs.stream("net", "latency")
         self._loss_rng = rngs.stream("net", "loss")
-        self.tracer = tracer if tracer is not None else Tracer(
-            lambda: sim.now)
         self.metrics = (metrics if metrics is not None
                         else MetricsRegistry(lambda: sim.now))
         self.spans = spans if spans is not None else SpanTracer(
@@ -249,7 +245,7 @@ class Transport:
             raise
         if breakers is not None:
             breakers.record_success(dst)
-        self.tracer.emit("net", "invoke",
+        self.spans.event("net", "invoke",
                          src=str(src), dst=str(dst), label=name,
                          rtt=self.sim.now - t0)
         self.metrics.observe("transport_invoke_rtt_seconds",
@@ -273,7 +269,7 @@ class Transport:
             self._count_message()
             self.metrics.count("transport_transfer_bytes_total", nbytes)
             self.sim.run_until(self.sim.now + elapsed)
-        self.tracer.emit("net", "transfer", src=str(src), dst=str(dst),
+        self.spans.event("net", "transfer", src=str(src), dst=str(dst),
                          nbytes=nbytes, elapsed=elapsed)
         return elapsed
 
@@ -386,7 +382,7 @@ class Transport:
         for o in outcomes:
             completion = max(completion, o.completed_at)
         self.sim.run_until(completion)
-        self.tracer.emit("net", "parallel_invoke", n=len(calls),
+        self.spans.event("net", "parallel_invoke", n=len(calls),
                          elapsed=self.sim.now - start)
         self.metrics.observe("transport_parallel_batch_size", len(calls),
                              buckets=DEFAULT_SIZE_BUCKETS)

@@ -513,7 +513,7 @@ class _NullHistogram(Histogram):
 
 
 class NullMetricsRegistry(MetricsRegistry):
-    """Records nothing — the hot-benchmark analogue of ``NullTracer``."""
+    """Records nothing — the hot-benchmark analogue of ``NullSpanTracer``."""
 
     def __init__(self) -> None:
         super().__init__()

@@ -1,7 +1,6 @@
 """Causal span tracing: per-request timelines over the placement protocol.
 
-The flat :class:`~repro.sim.tracing.Tracer` answers "what happened";
-spans answer "what happened *to this request*, and what dominated its
+Spans answer "what happened *to this request*, and what dominated its
 latency".  A :class:`SpanTracer` produces a tree of :class:`Span`\\ s per
 trace — one trace per placement request (rooted by
 :meth:`~repro.scheduler.base.Scheduler.run`) or per migration — with
@@ -28,7 +27,10 @@ Design points:
 * **quiet by default** — :meth:`SpanTracer.span_if_active` records only
   when a trace is already open.  Background activity (periodic host
   reassessment, daemon sweeps) therefore produces no traces; only the
-  explicit roots (placement, migration) do.
+  explicit roots (placement, migration) do;
+* **events ride spans** — point events (``net/invoke``, ``enactor/reserved``,
+  ...) are recorded by :meth:`SpanTracer.event` on the innermost open
+  span, so every event carries its request's causal context.
 
 Analysis and export (trees, critical paths, Chrome trace-event JSON)
 live in :mod:`repro.obs.trace_export`.
@@ -75,7 +77,8 @@ class Span:
     attributes: Dict[str, Any] = field(default_factory=dict)
     #: "ok" | "error" | "unset" (still open)
     status: str = "unset"
-    #: bridged flat-tracer records: (time, category, event, details)
+    #: point events recorded by :meth:`SpanTracer.event`:
+    #: (time, category, event, details)
     events: List[tuple] = field(default_factory=list)
     #: global creation sequence number — the deterministic export order
     seq: int = 0
@@ -254,14 +257,14 @@ class SpanTracer:
         self.spans.append(span)
         return span
 
-    # -- flat-tracer bridge ---------------------------------------------------
+    # -- point events ---------------------------------------------------------
     def event(self, category: str, event: str, **details: Any) -> None:
-        """Attach a flat trace record to the innermost open span.
+        """Attach a timestamped point event to the innermost open span.
 
-        This is the legacy :class:`~repro.sim.tracing.Tracer` bridge:
-        ``Tracer.emit`` forwards here (via ``span_sink``), so E3/E7/E12
-        benchmark traces gain causal context without call-site rewrites.
-        Dropped silently when no span is open.
+        The transport (``net/invoke``, ``net/transfer``,
+        ``net/parallel_invoke``) and the Enactor (``enactor/reserved``,
+        ``enactor/enacted``) record their protocol events here.  Dropped
+        silently when no span is open.
         """
         ctx = self.current_context()
         if ctx is None:
@@ -321,9 +324,8 @@ _NULL_SPAN = _NullSpan()
 
 
 class NullSpanTracer(SpanTracer):
-    """Records nothing — the span analogue of ``NullTracer`` /
-    ``NullMetricsRegistry`` for hot soak/benchmark loops
-    (``Metasystem(tracing="flat")`` or ``tracing="off"``)."""
+    """Records nothing — the span analogue of ``NullMetricsRegistry``
+    for hot soak/benchmark loops (``Metasystem(tracing="off")``)."""
 
     def __init__(self) -> None:
         super().__init__()

@@ -12,8 +12,7 @@ Consumes the :class:`~repro.obs.spans.Span` list a
   step on it dominated;
 * :func:`chrome_trace` / :func:`chrome_trace_json` — Chrome trace-event
   JSON loadable in Perfetto (https://ui.perfetto.dev) or
-  ``chrome://tracing``, with bridged flat-tracer records as instant
-  events; :func:`spans_to_jsonl` — a line-per-span dump for ad-hoc
+  ``chrome://tracing``, with span events as instant events; :func:`spans_to_jsonl` — a line-per-span dump for ad-hoc
   processing.
 
 All output is deterministic: spans arrive in creation order (their IDs
@@ -331,8 +330,8 @@ def chrome_trace(spans: Sequence[Span]) -> Dict[str, Any]:
     """The Chrome trace-event dict (Perfetto / chrome://tracing).
 
     One process per trace; nested complete events reproduce the span
-    tree, parallel siblings fan out across thread lanes, and bridged
-    flat-tracer records become instant events.
+    tree, parallel siblings fan out across thread lanes, and span
+    events become instant events.
     """
     events: List[Dict[str, Any]] = []
     for trace_index, (trace_id, trace_spans) in enumerate(

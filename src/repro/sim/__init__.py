@@ -1,5 +1,5 @@
-"""Discrete-event simulation substrate: kernel, RNG streams, distributions,
-tracing, and online statistics."""
+"""Discrete-event simulation substrate: kernel, RNG streams, distributions
+and online statistics."""
 
 from .kernel import AllOf, AnyOf, Event, Interrupt, Process, Simulator, Timeout
 from .rng import RngRegistry, derive_seed
@@ -17,7 +17,6 @@ from .distributions import (
     Weibull,
 )
 from .stats import Histogram, RunningStats, TimeWeightedStats, summarize
-from .tracing import NullTracer, TraceRecord, Tracer
 
 __all__ = [
     "Simulator", "Process", "Event", "Timeout", "AllOf", "AnyOf", "Interrupt",
@@ -25,5 +24,4 @@ __all__ = [
     "Distribution", "Constant", "Uniform", "Exponential", "Normal",
     "LogNormal", "Pareto", "Weibull", "Empirical", "Shifted", "Clipped",
     "RunningStats", "TimeWeightedStats", "Histogram", "summarize",
-    "Tracer", "NullTracer", "TraceRecord",
 ]

@@ -228,7 +228,7 @@ def cmd_run(args: argparse.Namespace, out) -> int:
     if args.trace:
         from ..bench.sequence import protocol_trace
         print(file=out)
-        print(protocol_trace(meta.tracer, limit=args.trace), file=out)
+        print(protocol_trace(meta.spans, limit=args.trace), file=out)
     if args.trace_out:
         from ..obs.trace_export import chrome_trace_json, spans_to_jsonl
         if args.trace_out.endswith(".jsonl"):

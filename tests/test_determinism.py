@@ -31,7 +31,9 @@ REQUIRED_FAMILIES = (
     "sim_events_processed",           # kernel events
 )
 
-TRACE_KEYS = ("net", "enactor", "collection", "host")
+#: span-event categories counted per run (only the transport and the
+#: Enactor record span events)
+TRACE_KEYS = ("net", "enactor")
 
 
 def _run_workload(seed: int):
@@ -51,7 +53,9 @@ def _run_workload(seed: int):
         created.extend(outcome.created)
     wait_for_completion(meta, app, created)
     meta.advance(3600.0)
-    counts = {key: meta.tracer.count(key) for key in TRACE_KEYS}
+    counts = {key: sum(event[1] == key for span in meta.spans.spans
+                       for event in span.events)
+              for key in TRACE_KEYS}
     return (meta.metrics.to_json(), counts,
             chrome_trace_json(meta.spans.spans),
             spans_to_jsonl(meta.spans.spans))
@@ -131,6 +135,7 @@ class TestDeterminism:
         json_b, counts_b, chrome_b, jsonl_b = _run_workload(seed=1234)
         assert json_a == json_b  # byte-identical export
         assert counts_a == counts_b
+        assert all(counts_a.values())  # both categories recorded events
         assert chrome_a == chrome_b  # byte-identical span exports too
         assert jsonl_a == jsonl_b
 

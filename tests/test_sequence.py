@@ -1,15 +1,17 @@
 """Tests for the trace-to-sequence-diagram renderer."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.bench import protocol_trace, render_sequence
-from repro.sim.tracing import TraceRecord, Tracer
+from repro.obs import SpanTracer
 
 
 def rec(src, dst, label, rtt=0.001, t=0.0):
-    return TraceRecord(t, "net", "invoke",
-                       {"src": src, "dst": dst, "label": label,
-                        "rtt": rtt})
+    """A ``net/invoke`` span event, as the transport records it."""
+    return (t, "net", "invoke",
+            {"src": src, "dst": dst, "label": label, "rtt": rtt})
 
 
 class TestRenderSequence:
@@ -51,16 +53,23 @@ class TestRenderSequence:
         assert "local" in out
 
     def test_non_invoke_records_ignored(self):
-        tracer = Tracer()
-        tracer.emit("net", "transfer", src="a", dst="b")
-        assert "no invocations" in protocol_trace(tracer)
+        spans = SpanTracer()
+        with spans.span("root"):
+            spans.event("net", "transfer", src="a", dst="b")
+        assert "no invocations" in protocol_trace(spans)
 
     def test_protocol_trace_since_and_limit(self):
-        tracer = Tracer()
-        records = [rec("a/x", "b/y", f"m{i}", t=float(i))
-                   for i in range(5)]
-        tracer.records.extend(records)
-        out = protocol_trace(tracer, since=2.0, limit=2)
+        now = [0.0]
+        spans = SpanTracer(lambda: now[0])
+        with spans.span("root"):
+            for i in range(5):
+                now[0] = float(i)
+                # odd invokes land one span deeper, so span creation
+                # order differs from virtual-time order
+                with (spans.span("inner") if i % 2 else nullcontext()):
+                    spans.event("net", "invoke", src="a/x", dst="b/y",
+                                label=f"m{i}", rtt=0.001)
+        out = protocol_trace(spans, since=2.0, limit=2)
         assert "m2" in out and "m3" in out
         assert "m0" not in out and "m4" not in out
 
@@ -72,7 +81,7 @@ class TestEndToEnd:
         sched = meta.make_scheduler("random")
         outcome = sched.run([ObjectClassRequest(app_class, 2)])
         assert outcome.ok
-        diagram = protocol_trace(meta.tracer)
+        diagram = protocol_trace(meta.spans)
         assert "QueryCollection" in diagram or "create" in diagram
         assert "collection-svc" in diagram.splitlines()[0]
 

@@ -27,8 +27,12 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.obs.trace_export import children_of, dominant_step, self_time
-from repro.sim.tracing import NullTracer, Tracer
-from repro.workload import implementations_for_all_platforms
+from repro.service.report import run_service
+from repro.workload import (
+    TestbedSpec,
+    build_testbed,
+    implementations_for_all_platforms,
+)
 
 
 class FakeClock:
@@ -161,7 +165,7 @@ class TestNullSpanTracer:
 
 
 # ---------------------------------------------------------------------------
-# Metasystem wiring: the tracing knob, the bridge, exemplars
+# Metasystem wiring: the tracing knob, exemplars
 # ---------------------------------------------------------------------------
 def _tiny_meta(**kwargs):
     m = Metasystem(seed=11, **kwargs)
@@ -179,53 +183,74 @@ class TestTracingKnob:
         m = _tiny_meta()
         assert isinstance(m.spans, SpanTracer)
         assert not isinstance(m.spans, NullSpanTracer)
-        assert isinstance(m.tracer, Tracer)
-        assert m.tracer.span_sink is m.spans
         assert m.transport.spans is m.spans
         assert m.collection.spans is m.spans
         assert all(h.spans is m.spans for h in m.hosts)
         assert all(v.spans is m.spans for v in m.vaults)
 
-    def test_flat_mode_keeps_tracer_drops_spans(self):
-        m = _tiny_meta(tracing="flat")
-        assert isinstance(m.tracer, Tracer)
-        assert isinstance(m.spans, NullSpanTracer)
-
     def test_off_mode_disables_both(self):
+        """Off records neither spans nor span events."""
         m = _tiny_meta(tracing="off")
-        assert isinstance(m.tracer, NullTracer)
         assert isinstance(m.spans, NullSpanTracer)
+        assert m.transport.spans is m.spans
+        assert m.enactor.spans is m.spans
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Metasystem(seed=1, tracing="verbose")
+        for mode in ("verbose", "flat"):
+            with pytest.raises(ValueError):
+                Metasystem(seed=1, tracing=mode)
 
     def test_disabled_modes_still_place_objects(self):
-        for mode in ("flat", "off"):
-            m = _tiny_meta(tracing=mode)
-            app = m.create_class(
-                "A", [Implementation("sparc", "SunOS")], work_units=10.0)
-            outcome = m.make_scheduler("random").run(
-                [ObjectClassRequest(app, 1)])
-            assert outcome.ok
-            assert len(m.spans) == 0
-
-
-class TestTracerBridge:
-    def test_emit_during_open_span_becomes_span_event(self):
-        m = _tiny_meta()
-        with m.spans.span("root") as root:
-            m.tracer.emit("custom", "ping", n=1)
-        assert any(cat == "custom" and ev == "ping"
-                   for _, cat, ev, _ in root.events)
-        # the flat record was still recorded normally
-        assert m.tracer.count("custom") == 1
-
-    def test_emit_outside_spans_only_hits_flat_tracer(self):
-        m = _tiny_meta()
-        m.tracer.emit("custom", "ping")
-        assert m.tracer.count("custom") == 1
+        m = _tiny_meta(tracing="off")
+        app = m.create_class(
+            "A", [Implementation("sparc", "SunOS")], work_units=10.0)
+        outcome = m.make_scheduler("random").run(
+            [ObjectClassRequest(app, 1)])
+        assert outcome.ok
         assert len(m.spans) == 0
+
+
+def _service_run(tracing):
+    """A short seeded service campaign with chaos and guardrails on."""
+    meta = build_testbed(TestbedSpec(
+        seed=5, n_domains=2, hosts_per_domain=4, host_slots=8,
+        background_load_mean=0.3, tracing=tracing, guardrails=True,
+        chaos_profile="mixed", chaos_seed=3, chaos_horizon=120.0))
+    meta.place_collection("dom0")
+    meta.place_enactor("dom0")
+    run_service(meta=meta, duration=120.0, workers=3, queue_cap=8,
+                surge_multiplier=4.0, drain_time=300.0)
+    snapshot = build_snapshot(meta.metrics)
+    # the only families tracing may touch: span-derived exemplars and
+    # the retained-span gauge
+    snapshot["metrics"] = [m for m in snapshot["metrics"]
+                           if m["name"] != "span_records"]
+    for metric in snapshot["metrics"]:
+        for series in metric["series"]:
+            series.pop("exemplars", None)
+    return meta, {
+        "now": meta.sim.now,
+        "events": meta.sim.events_processed,
+        "messages": (meta.transport.messages_sent,
+                     meta.transport.messages_lost,
+                     meta.transport.retries),
+        "requests": [r.to_dict()
+                     for r in meta.service.gateway.requests.values()],
+        "metrics": snapshot,
+    }
+
+
+class TestTracingIsTransparent:
+    def test_off_and_spans_runs_are_identical(self):
+        """Tracing observes the run; it never changes it."""
+        spans_meta, spans_run = _service_run("spans")
+        off_meta, off_run = _service_run("off")
+        # the workload is non-trivial and the modes really differ
+        assert spans_run["requests"]
+        assert sum(spans_meta.chaos.stats()["injected"].values()) > 0
+        assert len(spans_meta.spans) > 0 and len(off_meta.spans) == 0
+        for key in spans_run:
+            assert spans_run[key] == off_run[key], key
 
 
 class TestExemplars:
@@ -369,7 +394,7 @@ class TestChromeExport:
         assert len(complete) == len(placed_meta.spans.spans)
         meta_events = [e for e in events if e["ph"] == "M"]
         assert meta_events[0]["args"]["name"] == "placement t000001"
-        # bridged flat-tracer records ride along as instant events
+        # span events (net/invoke, enactor/...) ride along as instants
         assert any(e["ph"] == "i" for e in events)
 
     def test_span_args_carry_identity_and_status(self, placed_meta):
