@@ -1,4 +1,4 @@
-"""Tests for RNG streams, distributions, and statistics."""
+"""Tests for RNG streams, distributions, statistics, and tracing."""
 
 import math
 
@@ -25,6 +25,7 @@ from repro.sim import (
     derive_seed,
     summarize,
 )
+from repro.obs import NullSpanTracer, SpanTracer
 
 
 class TestRng:
@@ -233,3 +234,40 @@ class TestSummarize:
 
     def test_single_value_std_zero(self):
         assert summarize([5.0])["std"] == 0.0
+
+
+class TestTracer:
+    """Point events recorded by the one tracer, :class:`SpanTracer`."""
+
+    def test_emit_and_count(self):
+        tr = SpanTracer(lambda: 1.5)
+        with tr.span("root") as root:
+            tr.event("cat", "ev", x=1)
+            tr.event("cat", "ev")
+            tr.event("cat", "other")
+        assert sum(1 for _, c, e, _ in root.events
+                   if (c, e) == ("cat", "ev")) == 2
+        assert sum(1 for _, c, _, _ in root.events if c == "cat") == 3
+        assert len(root.events) == 3
+        assert root.events[0] == (1.5, "cat", "ev", {"x": 1})
+
+    def test_clear(self):
+        tr = SpanTracer()
+        with tr.span("root"):
+            tr.event("a", "x")
+        tr.clear()
+        assert len(tr) == 0 and tr.spans == []
+
+    def test_null_tracer_records_nothing(self):
+        tr = NullSpanTracer()
+        with tr.span("root") as root:
+            tr.event("a", "x")
+        assert len(tr) == 0 and root.events == []
+
+    def test_bind_clock(self):
+        tr = SpanTracer()
+        tr.bind_clock(lambda: 9.0)
+        with tr.span("root") as root:
+            tr.event("a", "x")
+        assert root.start == 9.0
+        assert root.events[0][0] == 9.0

@@ -210,6 +210,24 @@ class TestTracingKnob:
         assert len(m.spans) == 0
 
 
+class TestTracerBridge:
+    """Events recorded on the metasystem's tracer land on the open span."""
+
+    def test_emit_during_open_span_becomes_span_event(self):
+        m = _tiny_meta()
+        with m.spans.span("root") as root:
+            m.spans.event("custom", "ping", n=1)
+        assert [(cat, ev, details) for _, cat, ev, details in root.events] \
+            == [("custom", "ping", {"n": 1})]
+
+    def test_emit_outside_spans_only_hits_flat_tracer(self):
+        """With no span open an event is dropped and opens no trace."""
+        m = _tiny_meta()
+        m.spans.event("custom", "ping")
+        assert len(m.spans) == 0
+        assert m.spans.current_context() is None
+
+
 def _service_run(tracing):
     """A short seeded service campaign with chaos and guardrails on."""
     meta = build_testbed(TestbedSpec(
