@@ -26,6 +26,7 @@ from typing import Dict, Optional
 
 from ..errors import ObjectStateError, ReservationDeniedError
 from ..naming.loid import LOID
+from ..objects.attributes import AttrValue
 from ..objects.base import LegionObject
 from ..queues.backfill import AdvanceReservation, BackfillQueue
 from ..queues.base import JobState, QueueJob, QueueSystem
@@ -164,10 +165,9 @@ class BatchQueueHost(HostObject):
         return opr, remaining
 
     # -- attributes -------------------------------------------------------------------
-    def reassess(self, now: Optional[float] = None) -> None:
-        super().reassess(now=now)
-        t = self.sim.now if now is None else now
-        self.attributes.update({
+    def _assess(self) -> Dict[str, AttrValue]:
+        record = super()._assess()
+        record.update({
             "host_kind": "batch",
             "queue_name": self.queue.name,
             "queue_length": self.queue.queue_length,
@@ -175,4 +175,5 @@ class BatchQueueHost(HostObject):
             "queue_total_nodes": self.queue.total_nodes,
             "queue_supports_reservations":
                 self.queue.supports_reservations,
-        }, now=t)
+        })
+        return record

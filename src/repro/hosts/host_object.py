@@ -35,6 +35,7 @@ from ..errors import (
     VaultIncompatibleError,
 )
 from ..naming.loid import LOID
+from ..objects.attributes import AttrValue
 from ..objects.base import LegionObject
 from ..obs.registry import MetricsRegistry
 from ..obs.spans import NULL_SPANS
@@ -94,6 +95,10 @@ class HostObject(LegionObject):
         self.slots = slots or max(2 * machine.spec.cpus, 2)
         self.price = price_per_cpu_second
         self._compatible_vaults: List[LOID] = list(compatible_vaults or [])
+        #: the published ``compatible_vaults`` attribute, rebuilt only when
+        #: a vault is added
+        self._vault_names: List[str] = [
+            str(v) for v in self._compatible_vaults]
         self.reservations = ReservationTable(
             loid, secret=os.urandom(16), slots=self.slots)
         #: opt-in load-aware admission control (duck-typed; see
@@ -385,31 +390,40 @@ class HostObject(LegionObject):
     def add_compatible_vault(self, vault_loid: LOID) -> None:
         if vault_loid not in self._compatible_vaults:
             self._compatible_vaults.append(vault_loid)
+            self._vault_names = [str(v) for v in self._compatible_vaults]
 
     # -- attribute reassessment & push model -----------------------------------
-    def reassess(self, now: Optional[float] = None) -> None:
-        """Repopulate the attribute database from current machine state,
-        poll RGE triggers, and push to known Collections."""
-        now = self.sim.now if now is None else now
-        spec = self.machine.spec
-        self.attributes.update({
-            "host_name": self.machine.name,
+    def _assess(self) -> Dict[str, AttrValue]:
+        """The attribute record this host publishes from current machine
+        state.  Subclasses extend the returned dict with their own
+        attributes, so everything reaches the Collection in one push."""
+        machine = self.machine
+        spec = machine.spec
+        return {
+            "host_name": machine.name,
             "host_arch": spec.arch,
             "host_os_name": spec.os_name,
             "host_os_version": spec.os_version,
             "host_cpus": spec.cpus,
             "host_speed": spec.speed,
             "host_memory_mb": spec.memory_mb,
-            "host_available_memory_mb": self.machine.available_memory_mb,
-            "host_load": round(self.machine.load_average, 4),
+            "host_available_memory_mb": machine.available_memory_mb,
+            "host_load": round(machine.load_average, 4),
             "host_domain": self.domain,
             "host_slots": self.slots,
             "host_slots_free": max(0, self.slots - len(self.placed)),
             "host_price": self.price,
-            "host_up": self.machine.up,
+            "host_up": machine.up,
             "host_policy": self.policy.describe(),
-            "compatible_vaults": [str(v) for v in self._compatible_vaults],
-        }, now=now)
+            "compatible_vaults": self._vault_names,
+        }
+
+    def reassess(self, now: Optional[float] = None) -> None:
+        """Repopulate the attribute database from current machine state
+        (:meth:`_assess`), poll RGE triggers, and push to known
+        Collections."""
+        now = self.sim.now if now is None else now
+        self.attributes.update(self._assess(), now=now)
         self.reassessments += 1
         # sweep the reservation ledger so long campaigns don't grow it
         # unboundedly (expired/cancelled entries are dead weight)

@@ -10,8 +10,9 @@ a Monitor can subscribe to.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict
 
+from ..objects.attributes import AttrValue
 from .host_object import HostObject
 
 __all__ = ["UnixHost"]
@@ -40,7 +41,7 @@ class UnixHost(HostObject):
             edge_triggered=True,
             min_interval=trigger_min_interval)
 
-    def reassess(self, now: Optional[float] = None) -> None:
-        super().reassess(now=now)
-        self.attributes.set("host_kind", "unix",
-                            now=self.sim.now if now is None else now)
+    def _assess(self) -> Dict[str, AttrValue]:
+        record = super()._assess()
+        record["host_kind"] = "unix"
+        return record

@@ -23,6 +23,12 @@ Scalar = Union[str, int, float, bool]
 AttrValue = Union[Scalar, List[Scalar]]
 
 _SCALARS = (str, int, float, bool)
+_MISSING = object()
+
+
+def _check_name(name: Any) -> None:
+    if not isinstance(name, str) or not name:
+        raise TypeError("attribute names must be non-empty strings")
 
 
 def _check_value(name: str, value: Any) -> AttrValue:
@@ -49,20 +55,38 @@ class AttributeDatabase:
         self._updated_at: Dict[str, float] = {}
         self._last_update = 0.0
         if initial:
-            for k, v in initial.items():
-                self.set(k, v)
+            self.update(initial)
 
     # -- writes ---------------------------------------------------------------
     def set(self, name: str, value: AttrValue, now: float = 0.0) -> None:
-        if not isinstance(name, str) or not name:
-            raise TypeError("attribute names must be non-empty strings")
+        _check_name(name)
         self._attrs[name] = _check_value(name, value)
         self._updated_at[name] = now
         self._last_update = max(self._last_update, now)
 
     def update(self, values: Mapping[str, AttrValue], now: float = 0.0) -> None:
-        for k, v in values.items():
-            self.set(k, v, now=now)
+        """Write every attribute in ``values`` at ``now`` — the bulk form
+        of :meth:`set`, and the host re-assessment hot path.
+
+        A value equal to the stored one *and of the same type* is kept
+        without re-validation (so ``1``, ``1.0`` and ``True`` stay
+        distinct); new or changed values are validated once.  Every name
+        is stamped ``now`` whether or not its value changed, since
+        :meth:`updated_at` means "last write".  An invalid name or value
+        raises :class:`TypeError` before anything is written.
+        """
+        if not values:
+            return
+        attrs = self._attrs
+        changed: Dict[str, AttrValue] = {}
+        for name, value in values.items():
+            old = attrs.get(name, _MISSING)
+            if type(old) is not type(value) or old != value:
+                _check_name(name)
+                changed[name] = _check_value(name, value)
+        attrs.update(changed)
+        self._updated_at.update(dict.fromkeys(values, now))
+        self._last_update = max(self._last_update, now)
 
     def delete(self, name: str) -> None:
         self._attrs.pop(name, None)
@@ -101,9 +125,13 @@ class AttributeDatabase:
 
     # -- export ----------------------------------------------------------------
     def snapshot(self) -> Dict[str, AttrValue]:
-        """A deep-enough copy safe to ship to a Collection."""
-        return {k: (list(v) if isinstance(v, list) else v)
-                for k, v in self._attrs.items()}
+        """A deep-enough copy safe to ship to a Collection: one top-level
+        copy in which only the list values are copied again."""
+        out = self._attrs.copy()
+        for k, v in out.items():
+            if type(v) is list:
+                out[k] = v.copy()
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"AttributeDatabase({self._attrs!r})"

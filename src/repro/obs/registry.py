@@ -341,6 +341,9 @@ class MetricsRegistry:
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock = clock or (lambda: 0.0)
         self._metrics: Dict[str, _Instrument] = {}
+        #: (kind, name, label names, label values) -> leaf series, so the
+        #: one-line helpers resolve a series with one dict lookup
+        self._leaves: Dict[Tuple[Any, ...], _Instrument] = {}
         self._exemplar_provider: Optional[
             Callable[[], Optional[str]]] = None
 
@@ -397,27 +400,35 @@ class MetricsRegistry:
                                    buckets=buckets)
 
     # -- one-line instrumentation helpers -----------------------------------
-    @staticmethod
-    def _leaf(instrument: _Instrument, labels: Dict[str, Any]):
-        return instrument.labels(**labels) if labels else instrument
+    def _resolve(self, cls, name: str, help: str, labels: Dict[str, Any],
+                 **kwargs) -> Any:
+        """The leaf series of ``name`` for ``labels``.  Only the first call
+        per label set goes through the factory; a kind or label clash is
+        never cached, so it raises on every call.  Values key by ``str``
+        as in :meth:`_Instrument.labels` (``1`` and ``True`` differ)."""
+        key = (cls, name, tuple(labels), tuple(map(str, labels.values())))
+        leaf = self._leaves.get(key)
+        if leaf is None:
+            instrument = self._get_or_create(
+                cls, name, help, sorted(labels), **kwargs)
+            leaf = instrument.labels(**labels) if labels else instrument
+            self._leaves[key] = leaf
+        return leaf
 
     def count(self, name: str, n: float = 1.0, help: str = "",
               **labels: Any) -> None:
-        counter = self.counter(name, help, labelnames=sorted(labels))
-        self._leaf(counter, labels).inc(n)
+        self._resolve(Counter, name, help, labels).inc(n)
 
     def observe(self, name: str, value: float, help: str = "",
                 buckets: Sequence[float] = DEFAULT_TIME_BUCKETS,
                 **labels: Any) -> None:
-        histogram = self.histogram(name, help, labelnames=sorted(labels),
-                                   buckets=buckets)
-        self._leaf(histogram, labels).observe(
+        self._resolve(Histogram, name, help, labels,
+                      buckets=buckets).observe(
             value, exemplar=self._current_exemplar())
 
     def set_gauge(self, name: str, value: float, help: str = "",
                   **labels: Any) -> None:
-        gauge = self.gauge(name, help, labelnames=sorted(labels))
-        self._leaf(gauge, labels).set(value)
+        self._resolve(Gauge, name, help, labels).set(value)
 
     def gauge_fn(self, name: str, fn: Callable[[], float],
                  help: str = "") -> Gauge:
@@ -428,10 +439,9 @@ class MetricsRegistry:
     def time(self, name: str, help: str = "",
              buckets: Sequence[float] = DEFAULT_TIME_BUCKETS,
              **labels: Any) -> Timer:
-        histogram = self.histogram(name, help, labelnames=sorted(labels),
-                                   buckets=buckets)
-        return Timer(self._leaf(histogram, labels), self._clock,
-                     exemplar_fn=self._exemplar_provider)
+        return Timer(self._resolve(Histogram, name, help, labels,
+                                   buckets=buckets),
+                     self._clock, exemplar_fn=self._exemplar_provider)
 
     # -- introspection ------------------------------------------------------
     def get(self, name: str) -> Optional[_Instrument]:
@@ -447,6 +457,8 @@ class MetricsRegistry:
         return name in self._metrics
 
     def reset(self) -> None:
+        # resetting drops labelled children, so the resolved leaves go too
+        self._leaves.clear()
         for instrument in self._metrics.values():
             instrument.reset()
 

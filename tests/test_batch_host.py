@@ -171,3 +171,29 @@ class TestSchedulingOntoCluster:
         hosts_used = {m.host_loid for m in
                       outcome.feedback.reserved_entries}
         assert len(hosts_used) >= 2
+
+
+class TestQueueStatePush:
+    def test_collection_record_matches_host_after_each_cycle(self):
+        """A batch host's queue attributes ship in the same push as the
+        base host attributes, so the Collection never lags a cycle."""
+        from repro.hosts import BatchQueueHost
+        from repro.workload import (TestbedSpec, build_testbed,
+                                    implementations_for_all_platforms)
+        meta = build_testbed(TestbedSpec(
+            n_domains=2, hosts_per_domain=2, seed=3,
+            batch_clusters={0: "fcfs"}, batch_nodes=2))
+        app = meta.create_class("q-app", implementations_for_all_platforms(),
+                                work_units=400.0)
+        sched = meta.make_scheduler("random")
+        for _ in range(12):
+            sched.run([ObjectClassRequest(app)])
+        batch = [h for h in meta.hosts if isinstance(h, BatchQueueHost)]
+        assert len(batch) == 1
+        host = batch[0]
+        meta.advance(31.0)
+        assert host.attributes.get("queue_length") > 0  # queue is busy
+        for _ in range(6):
+            record = meta.collection.record_of(host.loid)
+            assert record.attributes == host.attributes.snapshot()
+            meta.advance(30.0)

@@ -1,9 +1,12 @@
 """Tests for the Collection (Fig. 4 interface), push/pull, auth, daemon,
 and function injection."""
 
+import hashlib
+import hmac
+
 import pytest
 
-from repro.collection import Collection, DataCollectionDaemon
+from repro.collection import Collection, Credential, DataCollectionDaemon
 from repro.errors import AuthenticationError, NotAMemberError
 from repro.naming import LOID
 from repro.sim import Simulator
@@ -80,6 +83,29 @@ class TestAuth:
         coll.join(loid("h1"))
         with pytest.raises(AuthenticationError):
             coll.update_entry(loid("h1"), {"x": 1}, cred)
+
+    def test_cached_mac_still_rejects_forgeries(self, coll):
+        """Memoising each member's MAC does not weaken the check: after
+        h1's MAC is cached, foreign and tampered credentials still fail
+        and are counted."""
+        cred = coll.join(loid("h1"))
+        other = coll.join(loid("h2"))
+        coll.update_entry(loid("h1"), {"x": 1}, cred)  # MAC now cached
+        assert cred._mac == hmac.new(
+            coll._secret, str(loid("h1")).encode("utf-8"),
+            hashlib.sha256).digest()
+        tampered = bytes([cred._mac[0] ^ 1]) + cred._mac[1:]
+        forgeries = [other, Credential(loid("h1"), other._mac),
+                     Credential(loid("h1"), tampered),
+                     Credential(loid("h2"), cred._mac)]
+        for forged in forgeries:
+            with pytest.raises(AuthenticationError):
+                coll.update_entry(loid("h1"), {"x": 2}, forged)
+        assert coll.auth_failures == len(forgeries)
+        assert coll.metrics.get(
+            "collection_auth_failures_total").value == len(forgeries)
+        coll.update_entry(loid("h1"), {"x": 3}, cred)
+        assert coll.record_of(loid("h1")).attributes["x"] == 3
 
     def test_no_auth_mode(self):
         c = Collection(LOID(("d", "svc", "open")), require_auth=False)

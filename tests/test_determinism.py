@@ -9,6 +9,7 @@ compiled-query and viable-hosts caches enabled.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -129,6 +130,42 @@ def _scale_digest() -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+#: pinned digest of the re-assessment-heavy run below: every Collection
+#: record (attributes in insertion order, ``updated_at``,
+#: ``update_count``) plus the Collection's mutation counters and the
+#: metrics snapshot.  The host re-assessment → Collection push path must
+#: reproduce it exactly; regenerate with
+#:     PYTHONPATH=src python -c "import tests.test_determinism as t; \
+#: print(t._reassess_digest())"
+#: only for a change that is meant to alter what hosts publish.
+REASSESS_SNAPSHOT = (
+    "9b8c62b1b31a3ae4b49fd3a21445c62143da5c4880bc81a1c198dc2e39950c69")
+
+
+def _reassess_digest() -> str:
+    """Digest of a 4×64-host world with load walks and 30 s
+    re-assessment, a small placement burst, run for 600 virtual s."""
+    meta = build_testbed(TestbedSpec(
+        n_domains=4, hosts_per_domain=64, platform_mix=3,
+        background_load_mean=0.5, reassess_interval=30.0, seed=11))
+    app = meta.create_class("reassess-app",
+                            implementations_for_all_platforms(),
+                            work_units=200.0)
+    meta.advance(30.0)
+    outcome = meta.make_scheduler("irs").run(
+        [ObjectClassRequest(app, count=8)])
+    assert outcome.ok
+    meta.advance(570.0)
+    collection = meta.collection
+    records = [[str(loid), list(record.attributes.items()),
+                record.updated_at, record.update_count]
+               for loid, record in sorted(collection._records.items())]
+    payload = json.dumps([records, collection.mutation_version,
+                          collection.updates_applied,
+                          meta.metrics.to_json()])
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 class TestDeterminism:
     def test_identical_seeds_identical_snapshots(self):
         json_a, counts_a, chrome_a, jsonl_a = _run_workload(seed=1234)
@@ -174,6 +211,13 @@ class TestDeterminism:
         assert any(
             s.get("value") or s.get("count")
             for m in snapshot["metrics"] for s in m["series"])
+
+
+class TestReassessSnapshot:
+    def test_pinned_reassess_digest(self):
+        """Host re-assessment publishes byte-identical records, record
+        timestamps, mutation counters and metrics."""
+        assert _reassess_digest() == REASSESS_SNAPSHOT
 
 
 class TestCrossProcessScaleSnapshot:

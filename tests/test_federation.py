@@ -7,6 +7,8 @@ unreachable, gossip repair after downtime, and the ring's balance /
 minimal-disruption properties (property-based).
 """
 
+import hashlib
+import hmac
 import math
 
 import pytest
@@ -19,6 +21,7 @@ from repro import (
     MachineSpec,
     ObjectClassRequest,
 )
+from repro.collection import Credential
 from repro.errors import (
     AuthenticationError,
     HostUnreachableError,
@@ -181,6 +184,33 @@ class TestFederatedInterface:
         other = coll.join(loid("h2"))
         with pytest.raises(AuthenticationError):
             coll.update_entry(loid("h1"), {"x": 2}, other)
+
+    def test_router_credential_survives_cached_shard_mac(self):
+        """The router mints credentials from the home shard's memoised
+        MAC; the value is the real HMAC and forgeries are still refused
+        and counted."""
+        m = self.make_meta()
+        coll = m.collection
+        cred = coll.join(loid("h1"), {"x": 1})
+        other = coll.join(loid("h2"))
+        home = coll.home_shard(loid("h1")).collection
+        assert home._mac_for(loid("h1")) == cred._mac == hmac.new(
+            home._secret, str(loid("h1")).encode("utf-8"),
+            hashlib.sha256).digest()
+        coll.update_entry(loid("h1"), {"x": 2}, cred)
+        tampered = bytes([cred._mac[0] ^ 1]) + cred._mac[1:]
+        forgeries = [other, Credential(loid("h1"), other._mac),
+                     Credential(loid("h1"), tampered)]
+        for forged in forgeries:
+            with pytest.raises(AuthenticationError):
+                coll.update_entry(loid("h1"), {"x": 3}, forged)
+        assert m.metrics.get(
+            "federation_auth_failures_total").value == len(forgeries)
+        # the shard itself refuses the tampered MAC too
+        with pytest.raises(AuthenticationError):
+            home.update_entry(loid("h1"), {"x": 3},
+                              Credential(loid("h1"), tampered))
+        assert home.auth_failures == 1
 
     def test_records_replicated(self):
         m = self.make_meta()

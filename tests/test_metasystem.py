@@ -44,6 +44,13 @@ class TestBootstrap:
         # and the Collection record reflects it immediately
         record = m.collection.record_of(host.loid)
         assert str(vault.loid) in record.attributes["compatible_vaults"]
+        # a later vault joins the published list, and later pushes keep it
+        m.advance(45.0)
+        second = m.add_vault("d")
+        for _ in range(2):
+            assert record.attributes["compatible_vaults"] == [
+                str(vault.loid), str(second.loid)]
+            m.advance(30.0)
 
     def test_unknown_scheduler_kind(self, meta):
         with pytest.raises(ValueError):

@@ -1,6 +1,10 @@
 """Tests for the object runtime: attributes, lifecycle/OPR, RGE, Classes."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     NoImplementationError,
@@ -78,6 +82,71 @@ class TestAttributeDatabase:
         assert db.names() == ["a", "b"]
         assert set(db) == {"a", "b"}
         assert dict(db.items()) == {"b": 1, "a": 2}
+
+
+_SCALAR_VALUES = st.sampled_from([1, 1.0, True, 0, 0.0, False, "1", "x"])
+_GOOD_VALUES = st.one_of(
+    _SCALAR_VALUES,
+    st.lists(_SCALAR_VALUES, max_size=3),
+    st.lists(_SCALAR_VALUES, max_size=3).map(tuple))
+_BATCH = st.tuples(
+    st.dictionaries(st.sampled_from(["a", "b", "c", "d"]), _GOOD_VALUES,
+                    max_size=4),
+    # an optional bad entry, placed after the good keys
+    st.sampled_from([None, ("", 1), (7, 1), ("e", {"k": 1}),
+                     ("e", [None]), ("a", object())]),
+    st.sampled_from([0.0, 1.0, 3.0, 5.0]))
+
+
+def _typed(value):
+    """A value with its type (and its elements' types) made explicit, so
+    1, 1.0 and True compare unequal."""
+    if isinstance(value, list):
+        return (list, [(type(x), x) for x in value])
+    return (type(value), value)
+
+
+def _state(db):
+    return ([(name, _typed(value)) for name, value in db.items()],
+            {name: db.updated_at(name) for name in db}, db.last_update)
+
+
+def _set_loop(db, values, now):
+    """The reference semantics: one validated, stamped set per key."""
+    for name, value in values.items():
+        db.set(name, value, now=now)
+
+
+class TestBulkUpdate:
+    @given(st.lists(_BATCH, min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_update_matches_a_loop_of_set(self, batches):
+        bulk, ref = AttributeDatabase(), AttributeDatabase()
+        for values, bad, now in batches:
+            if bad is not None:
+                values = {**values, bad[0]: bad[1]}
+            try:
+                _set_loop(copy.deepcopy(ref), values, now)
+            except TypeError as exc:
+                before = _state(bulk)
+                with pytest.raises(TypeError) as got:
+                    bulk.update(values, now=now)
+                assert str(got.value) == str(exc)
+                assert _state(bulk) == before  # nothing was written
+                continue
+            bulk.update(values, now=now)
+            _set_loop(ref, values, now)
+            assert _state(bulk) == _state(ref)
+        # neither the written lists nor a snapshot's lists alias the store
+        before = _state(bulk)
+        for values, _bad, _now in batches:
+            for value in values.values():
+                if isinstance(value, list):
+                    value.append("mutated")
+        for value in bulk.snapshot().values():
+            if isinstance(value, list):
+                value.append("mutated")
+        assert _state(bulk) == before
 
 
 class TestLifecycle:

@@ -203,6 +203,45 @@ class TestRegistry:
         with pytest.raises(ValueError):
             reg.counter("m", labelnames=("b",))
 
+    def test_clashes_raise_on_every_call(self):
+        """The one-liners' resolved-leaf lookup never caches a clash."""
+        reg = MetricsRegistry()
+        reg.count("m", a="1")
+        reg.count("m", a="1")  # resolved through the lookup
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                reg.observe("m", 1.0, a="1")
+            with pytest.raises(ValueError):
+                reg.set_gauge("m", 1.0, a="1")
+            with pytest.raises(ValueError):
+                reg.count("m", b="1")
+            with pytest.raises(ValueError):
+                reg.count("m")
+        assert reg.get("m").labels(a="1").value == 2
+
+    def test_label_values_resolve_by_str(self):
+        reg = MetricsRegistry()
+        reg.count("c", v=1)
+        reg.count("c", v="1")
+        reg.count("c", v=True)
+        reg.count("c", v=1.0)
+        counter = reg.get("c")
+        assert counter.labels(v="1").value == 2
+        assert counter.labels(v="True").value == 1
+        assert counter.labels(v="1.0").value == 1
+
+    def test_count_after_reset_is_exported(self):
+        reg = MetricsRegistry()
+        reg.count("c", path="x")
+        reg.observe("h", 0.5, path="x")
+        reg.reset()
+        reg.count("c", path="x")
+        reg.observe("h", 0.5, path="x")
+        series = {m["name"]: m["series"]
+                  for m in reg.snapshot()["metrics"]}
+        assert series["c"] == [{"labels": {"path": "x"}, "value": 1.0}]
+        assert series["h"][0]["count"] == 1
+
     def test_one_liners_infer_labelnames(self):
         reg = MetricsRegistry()
         reg.count("queries_total", path="scan")
