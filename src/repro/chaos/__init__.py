@@ -14,12 +14,14 @@ measured behaviour:
   and trace spans, and guarantees revert-on-teardown;
 * :mod:`~repro.chaos.retry` — the opt-in RetryPolicy (seeded backoff)
   that lets the system *survive* transient faults;
+* :mod:`~repro.chaos.layer` — ChaosLayer and RetryLayer, which switch
+  the two on for a Metasystem;
 * :mod:`~repro.chaos.report` / :mod:`~repro.chaos.campaign` —
   ResilienceReport aggregation and the end-to-end ``run_campaign``
   driver behind ``legion-sim chaos``.
 
-Entry points: ``Metasystem.start_chaos(...)``,
-``Metasystem.enable_retries(...)``, and
+Entry points: ``meta.install(ChaosLayer(profile=...))``,
+``meta.install(RetryLayer())``, and
 :func:`repro.chaos.campaign.run_campaign`.
 """
 
@@ -38,6 +40,7 @@ from .faults import (
     make_fault,
 )
 from .injector import ChaosInjector, FaultRecord
+from .layer import ChaosLayer, RetryLayer
 from .plan import (
     PROFILES,
     CampaignConfig,
@@ -68,7 +71,9 @@ __all__ = [
     "PROFILES",
     "generate_campaign",
     "ChaosInjector",
+    "ChaosLayer",
     "FaultRecord",
+    "RetryLayer",
     "RetryPolicy",
     "ResilienceReport",
     "run_campaign",

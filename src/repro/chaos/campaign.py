@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..errors import LegionError
+from .layer import ChaosLayer, RetryLayer
 from .report import ResilienceReport
 
 __all__ = ["run_campaign"]
@@ -43,14 +44,16 @@ def run_campaign(profile: str = "mixed",
                  meta: Any = None) -> ResilienceReport:
     """Run one seeded campaign and return its ResilienceReport.
 
-    ``retry`` flips the resilience layer
-    (:meth:`~repro.metasystem.Metasystem.enable_retries`) and
-    ``guardrails`` the failure-detection layer
-    (:meth:`~repro.metasystem.Metasystem.enable_guardrails`) — the
-    fault timeline is identical either way, so flipping either knob
-    measures the policy, not different luck.  Pass a prebuilt ``meta``
-    to reuse a custom testbed (it must not have chaos started yet).
+    ``retry`` installs the resilience layer
+    (:class:`~repro.chaos.layer.RetryLayer`) and ``guardrails`` the
+    failure-detection layer
+    (:class:`~repro.guardrails.layer.GuardrailsLayer`) — the fault
+    timeline is identical either way, so flipping either knob measures
+    the policy, not different luck.  Pass a prebuilt ``meta`` to reuse a
+    custom testbed (it must not have chaos installed yet).
     """
+    from ..guardrails.layer import GuardrailsLayer
+    from ..obs.report import SamplerLayer
     from ..scheduler.base import ObjectClassRequest
     from ..workload.testbed import (
         TestbedSpec,
@@ -74,13 +77,14 @@ def run_campaign(profile: str = "mixed",
     if horizon is None:
         horizon = waves * wave_interval
     if sampler_window and meta.sampler is None:
-        meta.start_sampler(window=sampler_window)
+        meta.install(SamplerLayer(sampler_window))
     if guardrails:
-        meta.enable_guardrails()
+        meta.install(GuardrailsLayer())
     if retry:
-        meta.enable_retries()
-    injector = meta.start_chaos(profile=profile, chaos_seed=chaos_seed,
-                                horizon=horizon)
+        meta.install(RetryLayer())
+    injector = meta.install(ChaosLayer(profile=profile,
+                                       chaos_seed=chaos_seed,
+                                       horizon=horizon)).injector
 
     app = meta.create_class("chaos-app",
                             implementations_for_all_platforms(),
@@ -150,18 +154,9 @@ def run_campaign(profile: str = "mixed",
     report.mttr_mean = stats["mttr_mean"]
     report.mttr_max = stats["mttr_max"]
     if meta.sampler is not None:
-        from ..obs.slo import evaluate_slos
-        meta.sampler.flush()
-        results = evaluate_slos(meta.default_slos(), meta.sampler.windows)
-        report.slo = {
-            "window_seconds": meta.sampler.window,
-            "windows": len(meta.sampler.windows),
-            "minutes_lost": round(sum(r.minutes_lost for r in results), 6),
-            "alerts": sum(len(r.alerts) for r in results),
-            "exhausted": sum(1 for r in results if r.exhausted),
-            "budgets": {r.spec.name: round(r.budget_consumed, 6)
-                        for r in results},
-        }
+        from ..obs.slo import default_legion_slos
+        report.slo = meta.sampler.slo_summary(
+            meta.sampler.evaluate(default_legion_slos()))
     if include_events:
         report.events = [r.to_dict() for r in injector.records]
     return report

@@ -281,7 +281,7 @@ def _worker_pool(meta: "Metasystem", target: str) -> Tuple[Any, int]:
     if suite is None:
         raise ChaosError(
             f"no live service tier to crash {target!r} in "
-            f"(call start_service first)")
+            f"(install a ServiceLayer first)")
     try:
         idx = int(target.rsplit("-", 1)[1])
     except (IndexError, ValueError):

@@ -3,7 +3,7 @@
 "Legion objects are built to accommodate failure at any step in the
 scheduling process" (paper section 3.1) — this is the *policy* half of
 that claim.  A :class:`RetryPolicy` is installed opt-in
-(:meth:`repro.metasystem.Metasystem.enable_retries`) on:
+(``meta.install(RetryLayer(policy))``, :mod:`repro.chaos.layer`) on:
 
 * :meth:`repro.net.transport.Transport.invoke` — retries network
   failures of calls the caller marked ``idempotent=True`` (Collection

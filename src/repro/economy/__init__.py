@@ -10,19 +10,18 @@ optimization-mode schedulers bid inside the budget/deadline box
 (:mod:`~repro.economy.campaign`, :mod:`~repro.economy.report`) evaluate
 the economy against the Random/IRS baselines, GridSim-style.
 
-Enable via :meth:`repro.metasystem.Metasystem.enable_economy` or
-``TestbedSpec(economy=True)``; drive from the CLI with
-``legion-sim economy``.
+Switch it on with ``meta.install(EconomyLayer(config))``
+(:mod:`~repro.economy.layer`) or ``TestbedSpec(layers=[EconomyLayer()])``;
+drive it from the CLI with ``legion-sim economy``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .auction import Ask, AuctionResult, SealedBidAuction
 from .budget import BudgetManager, UserAccount
 from .campaign import run_economy, run_economy_comparison
 from .config import EconomyConfig
+from .layer import EconomyLayer
 from .market import Market
 from .report import EconomyComparison, EconomyReport
 from .sched import EconomyScheduler
@@ -34,8 +33,8 @@ __all__ = [
     "EconomyComparison",
     "EconomyConfig",
     "EconomyReport",
+    "EconomyLayer",
     "EconomyScheduler",
-    "EconomySuite",
     "Market",
     "SealedBidAuction",
     "UserAccount",
@@ -43,13 +42,3 @@ __all__ = [
     "run_economy_comparison",
 ]
 
-
-@dataclass
-class EconomySuite:
-    """Everything :meth:`Metasystem.enable_economy` installs, in one bag."""
-
-    config: EconomyConfig
-    market: Market
-    auction: SealedBidAuction
-    budgets: BudgetManager
-    ledger: object  # repro.accounting.Ledger (avoids an import cycle)

@@ -1,7 +1,7 @@
 """run_economy / run_economy_comparison: seeded economy experiments.
 
 Mirrors :func:`repro.chaos.campaign.run_campaign`: build the standard
-testbed, enable the economy (market pricing + budgets active for *every*
+testbed, install the economy (market pricing + budgets active for *every*
 scheduler so metered costs are comparable), optionally arm a chaos
 campaign and the guardrails, drive per-user placement waves, drain, and
 aggregate an :class:`~repro.economy.report.EconomyReport`.
@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import LegionError
+from .layer import EconomyLayer
 from .report import EconomyComparison, EconomyReport
 
 __all__ = ["run_economy", "run_economy_comparison"]
@@ -61,8 +62,11 @@ def run_economy(scheduler: str = "economy",
     ``scheduler`` is ``"economy"`` (auction-cleared, per-user
     budget/deadline boxes, ``mode`` selects time- or cost-optimize) or a
     baseline kind (``random``/``irs``/``cost``); the economy layer is
-    enabled either way so every run meters identical market prices.
+    installed either way (a prebuilt ``meta`` keeps its own) so every
+    run meters identical market prices.
     """
+    from ..chaos.layer import ChaosLayer, RetryLayer
+    from ..guardrails.layer import GuardrailsLayer
     from ..scheduler.base import ObjectClassRequest
     from ..workload.testbed import (
         TestbedSpec,
@@ -77,21 +81,18 @@ def run_economy(scheduler: str = "economy",
             seed=seed, n_domains=n_domains,
             hosts_per_domain=hosts_per_domain,
             platform_mix=platform_mix,
-            background_load_mean=background_load,
-            economy=True))
+            background_load_mean=background_load))
         meta.place_collection("dom0")
         meta.place_enactor("dom0")
-    suite = meta.enable_economy()
+    suite = meta.economy or meta.install(EconomyLayer())
     horizon = waves * wave_interval
     if guardrails:
-        meta.enable_guardrails()
+        meta.install(GuardrailsLayer())
     if retry:
-        meta.enable_retries()
-    injector = None
+        meta.install(RetryLayer())
     if chaos_profile:
-        injector = meta.start_chaos(profile=chaos_profile,
-                                    chaos_seed=chaos_seed,
-                                    horizon=horizon)
+        meta.install(ChaosLayer(profile=chaos_profile,
+                                chaos_seed=chaos_seed, horizon=horizon))
 
     names = _user_names(users)
     apps: Dict[str, Any] = {}
@@ -148,8 +149,8 @@ def run_economy(scheduler: str = "economy",
 
     if meta.now < t0 + horizon:
         meta.advance(t0 + horizon - meta.now)
-    if injector is not None:
-        injector.teardown()
+    if chaos_profile:
+        meta.uninstall("chaos")
 
     # drain: let surviving jobs run out on a fault-free world
     stop = meta.now + drain_time

@@ -17,7 +17,7 @@ __all__ = ["EconomyConfig"]
 
 @dataclass(frozen=True)
 class EconomyConfig:
-    """Parameters for :meth:`repro.metasystem.Metasystem.enable_economy`."""
+    """Parameters for :class:`~repro.economy.layer.EconomyLayer`."""
 
     # -- market (supply side) ----------------------------------------------
     #: ask price per cycle for a speed-1.0 host at idle

@@ -13,6 +13,8 @@ live and willing even while faults land; this package closes the loop —
 * :mod:`~repro.guardrails.admission` — load-aware admission control on
   Host Objects (``AdmissionRejected``), Table 1's accept/reject made
   dynamic,
+* :mod:`~repro.guardrails.layer` — ``meta.install(GuardrailsLayer())``
+  wires all of the above onto a Metasystem,
 * :mod:`~repro.guardrails.compare` — the off / retries-only /
   guardrails+retries benchmark behind ``legion-sim guardrails``.
 
@@ -26,13 +28,14 @@ from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard, CircuitBreaker
 from .compare import MODES, GuardrailsComparison, run_comparison
 from .config import GuardrailConfig
 from .health import DOWN, LIVE, SUSPECT, HealthMonitor
+from .layer import GuardrailsLayer
 
 __all__ = [
     "AdmissionController",
     "BreakerBoard",
     "CircuitBreaker",
     "GuardrailConfig",
-    "GuardrailSuite",
+    "GuardrailsLayer",
     "GuardrailsComparison",
     "HealthMonitor",
     "MODES",
@@ -41,18 +44,3 @@ __all__ = [
     "LIVE", "SUSPECT", "DOWN",
 ]
 
-
-class GuardrailSuite:
-    """The wired-up guardrails of one Metasystem (what
-    :meth:`~repro.metasystem.Metasystem.enable_guardrails` returns)."""
-
-    def __init__(self, config: GuardrailConfig, monitor: HealthMonitor,
-                 board: BreakerBoard, admission: AdmissionController):
-        self.config = config
-        self.monitor = monitor
-        self.board = board
-        self.admission = admission
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"<GuardrailSuite breakers={len(self.board)} "
-                f"watched={self.monitor.watched()}>")

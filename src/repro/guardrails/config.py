@@ -17,7 +17,7 @@ __all__ = ["GuardrailConfig"]
 
 @dataclass(frozen=True)
 class GuardrailConfig:
-    """Parameters for :meth:`repro.metasystem.Metasystem.enable_guardrails`."""
+    """Parameters for :class:`~repro.guardrails.layer.GuardrailsLayer`."""
 
     # -- circuit breakers (per transport destination) ----------------------
     #: consecutive transport failures before a breaker opens

@@ -93,6 +93,14 @@ class HealthMonitor:
         self._by_location[str(host.location)] = key
         host.add_push_target(self._heartbeat)
 
+    def unwatch(self, host: Any) -> None:
+        """Stop tracking a host watched with :meth:`watch`."""
+        record = self._hosts.pop(str(host.loid), None)
+        if record is None:
+            return
+        self._by_location.pop(str(host.location), None)
+        host.remove_push_target(self._heartbeat)
+
     def _heartbeat(self, host: Any, now: float) -> None:
         record = self._hosts.get(str(host.loid))
         if record is None:
@@ -210,7 +218,13 @@ class HealthMonitor:
         self._started = True
         self.sim.schedule(self.interval, self._tick_event)
 
+    def stop(self) -> None:
+        """Stop the classification sweeps (the pending tick is dropped)."""
+        self._started = False
+
     def _tick_event(self) -> None:
+        if not self._started:
+            return
         self.tick()
         self.sim.schedule(self.interval, self._tick_event)
 

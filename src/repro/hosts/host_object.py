@@ -440,6 +440,11 @@ class HostObject(LegionObject):
         """Register a push-model sink (e.g. a Collection updater)."""
         self._push_targets.append(push)
 
+    def remove_push_target(self,
+                           push: Callable[["HostObject", float], None]) -> None:
+        """Unregister a sink added with :meth:`add_push_target`."""
+        self._push_targets.remove(push)
+
     def start_periodic_reassessment(self) -> None:
         """Begin the periodic reassess cycle on the simulator."""
         def tick():

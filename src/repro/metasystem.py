@@ -6,6 +6,11 @@ LegionClass-style minting, Host and Vault objects and their guardian
 classes), and the RMI service objects (Collection, Enactor, Monitor), and
 binds everything into a context space.
 
+Optional subsystems — guardrails, the economy, retries, the metrics
+sampler, chaos, the service tier — are :class:`~repro.layer.Layer`
+objects switched on with :meth:`Metasystem.install`; the facade knows
+none of them by name.
+
 Typical use::
 
     from repro import Metasystem, MachineSpec
@@ -20,12 +25,13 @@ Typical use::
                             work_units=300.0)
     scheduler = meta.make_scheduler("random")
     outcome = scheduler.run([ObjectClassRequest(app, count=4)])
+    meta.install(GuardrailsLayer())   # from repro.guardrails
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set
 
 from .collection.collection import Collection, Credential
 from .collection.daemon import DataCollectionDaemon
@@ -40,6 +46,7 @@ from .hosts.host_object import HostObject
 from .hosts.machine import LoadWalk, MachineSpec, SimMachine
 from .hosts.policy import PlacementPolicy
 from .hosts.unix_host import UnixHost
+from .layer import SHIPPED_LAYERS, Layer
 from .monitor.migration import Migrator
 from .monitor.monitor import ExecutionMonitor
 from .accounting.cost_sched import CostAwareScheduler
@@ -95,12 +102,7 @@ class Metasystem:
                  require_collection_auth: bool = True,
                  domain: str = "legion",
                  tracing: str = "spans",
-                 federation: Any = None,
-                 chaos: Any = None,
-                 guardrails: Any = None,
-                 sampler: Any = None,
-                 economy: Any = None,
-                 service: Any = None):
+                 federation: Any = None):
         if tracing not in ("off", "spans"):
             raise ValueError(
                 f"tracing must be 'off' or 'spans', got {tracing!r}")
@@ -165,55 +167,47 @@ class Metasystem:
         self.migrator = Migrator(self.transport, self.resolve)
         self.monitor: Optional[ExecutionMonitor] = None
         self._machine_serial = itertools.count()
+        #: hosts added with ``push_to_collection=False``
+        self._unpushed: Set[LOID] = set()
 
-        # the chaos knob stores a default campaign source (profile name,
-        # CampaignConfig, or ChaosPlan); the injector itself is armed by
-        # start_chaos() once hosts exist, since campaign generation needs
-        # the topology's target universe
-        self.chaos_config = chaos
-        self.chaos: Optional[Any] = None
+        #: installed layers by name, in install order (see install())
+        self.layers: Dict[str, Layer] = {}
 
-        # the guardrails knob: True enables the self-healing layer with
-        # defaults, or pass a GuardrailConfig; hosts added later are
-        # wired automatically by _wire_host
-        self.guardrails: Optional[Any] = None
-        if guardrails:
-            if guardrails is True:
-                self.enable_guardrails()
-            else:
-                self.enable_guardrails(config=guardrails)
+    # ------------------------------------------------------------------
+    # layers
+    # ------------------------------------------------------------------
+    def install(self, layer: Layer) -> Layer:
+        """Switch an optional subsystem on (see :mod:`repro.layer`):
+        ``layer.install(self)``, then ``layer.on_host`` for every host,
+        now and as hosts join.  Returns the layer, which then reads as
+        ``meta.<layer.name>``; raises :class:`LegionError` if a layer of
+        that name is already installed."""
+        if layer.name in self.layers:
+            raise LegionError(f"a {layer.name!r} layer is already installed")
+        layer.install(self)
+        self.layers[layer.name] = layer
+        for host in self.hosts:
+            layer.on_host(host, self._host_credentials[host.loid])
+        return layer
 
-        # the sampler knob: True arms windowed time-series capture with
-        # the default window, a number sets the window length in virtual
-        # seconds; off by default so existing benchmark ledgers stay
-        # byte-identical
-        self.sampler: Optional[Any] = None
-        if sampler:
-            if sampler is True:
-                self.start_sampler()
-            else:
-                self.start_sampler(window=float(sampler))
+    def uninstall(self, name: str) -> Layer:
+        """Tear the named layer down and detach it; returns the layer."""
+        layer = self.layers.pop(name, None)
+        if layer is None:
+            raise LegionError(f"no {name!r} layer is installed")
+        layer.teardown()
+        return layer
 
-        # the economy knob: True enables the computational-economy layer
-        # (market pricing, budgets, auctions) with defaults, or pass an
-        # EconomyConfig; hosts added later are wired by _wire_host
-        self.economy: Optional[Any] = None
-        if economy:
-            if economy is True:
-                self.enable_economy()
-            else:
-                self.enable_economy(config=economy)
-
-        # the service knob: True starts the live service tier (gateway +
-        # placement queue + worker pool) with defaults, or pass a
-        # ServiceConfig; usually started via start_service() once hosts
-        # exist so the first placements find a populated Collection
-        self.service: Optional[Any] = None
-        if service:
-            if service is True:
-                self.start_service()
-            else:
-                self.start_service(config=service)
+    def __getattr__(self, name: str) -> Any:
+        # reached only for names that are not ordinary attributes: an
+        # installed layer reads as ``meta.<name>``, a shipped layer that
+        # is not installed as None
+        layers = self.__dict__.get("layers", {})
+        if name in layers:
+            return layers[name]
+        if name in SHIPPED_LAYERS:
+            return None
+        raise AttributeError(f"no attribute or layer {name!r}")
 
     # ------------------------------------------------------------------
     # federation
@@ -349,12 +343,10 @@ class Metasystem:
                     # deterministic per member, so ``cred`` stays valid)
                     self.collection.join(h.loid, h.attributes.snapshot())
             host.add_push_target(push)
-        if self.guardrails is not None:
-            host.admission = self.guardrails.admission
-            self.guardrails.monitor.watch(host, credential)
-        if self.economy is not None:
-            self.economy.ledger.attach(host)
-            self.economy.market.enroll(host)
+        else:
+            self._unpushed.add(host.loid)
+        for layer in self.layers.values():
+            layer.on_host(host, credential)
         host.start_periodic_reassessment()
 
     def add_unix_host(self, name: str, domain: str,
@@ -437,11 +429,13 @@ class Metasystem:
         for host in self.hosts:
             if host.domain == domain:
                 host.add_compatible_vault(vault.loid)
+                # re-assessment pushes the new record; hosts without a
+                # push target get the one explicit write instead
                 host.reassess()
-                cred = self._host_credentials.get(host.loid)
-                if cred is not None:
+                if host.loid in self._unpushed:
                     self.collection.update_entry(
-                        host.loid, host.attributes.snapshot(), cred)
+                        host.loid, host.attributes.snapshot(),
+                        self._host_credentials[host.loid])
         return vault
 
     # ------------------------------------------------------------------
@@ -522,14 +516,15 @@ class Metasystem:
 
         ``kind="economy"`` (or the explicit ``"economy-cost"`` /
         ``"economy-time"`` spellings) builds an
-        :class:`~repro.economy.sched.EconomyScheduler`, enabling the
-        economy layer on demand and auto-provisioning the named
+        :class:`~repro.economy.sched.EconomyScheduler` over the installed
+        economy layer (installing a default one if there is none) and
+        auto-provisions the named
         ``user=`` account at the config's default budget/deadline if it
         does not exist yet.
         """
         if kind in ("economy", "economy-cost", "economy-time"):
-            from .economy import EconomyScheduler
-            suite = self.enable_economy()
+            from .economy import EconomyLayer, EconomyScheduler
+            suite = self.economy or self.install(EconomyLayer())
             mode = kwargs.pop("mode", None)
             if mode is None:
                 mode = "time" if kind == "economy-time" else "cost"
@@ -583,341 +578,6 @@ class Metasystem:
         self.monitor = ExecutionMonitor(self.migrator, self.collection,
                                         self.resolve, **kwargs)
         return self.monitor
-
-    # ------------------------------------------------------------------
-    # time-series telemetry / SLOs
-    # ------------------------------------------------------------------
-    def start_sampler(self, window: float = 30.0,
-                      max_windows: int = 256) -> Any:
-        """Arm the windowed time-series sampler
-        (:class:`~repro.obs.timeseries.MetricsSampler`): registry deltas
-        are captured every ``window`` virtual seconds into a bounded
-        ring, the substrate the SLO engine and ``legion-sim slo``
-        evaluate.  The sampler draws no random numbers, so arming it
-        never perturbs the seeded streams of an existing scenario."""
-        from .obs.timeseries import MetricsSampler
-        if self.sampler is not None:
-            raise LegionError("a metrics sampler is already armed")
-        self.sampler = MetricsSampler(self.sim, self.metrics,
-                                      window=window,
-                                      max_windows=max_windows).start()
-        return self.sampler
-
-    def default_slos(self) -> List[Any]:
-        """The stock Legion objectives
-        (:func:`~repro.obs.slo.default_legion_slos`)."""
-        from .obs.slo import default_legion_slos
-        return default_legion_slos()
-
-    def slo_health_report(self, specs: Optional[Sequence[Any]] = None,
-                          include_windows: bool = True,
-                          title: str = "slo health") -> Dict[str, Any]:
-        """Flush the sampler and build the unified health report
-        (:func:`~repro.obs.report.build_health_report`) over the given
-        objectives (default: :meth:`default_slos`)."""
-        from .obs.report import build_health_report
-        if self.sampler is None:
-            raise LegionError(
-                "no metrics sampler armed (construct with "
-                "Metasystem(sampler=...) or call start_sampler())")
-        self.sampler.flush()
-        return build_health_report(
-            self.sampler,
-            list(specs) if specs is not None else self.default_slos(),
-            spans=self.spans.spans, title=title,
-            include_windows=include_windows)
-
-    # ------------------------------------------------------------------
-    # chaos / resilience
-    # ------------------------------------------------------------------
-    def start_chaos(self, plan: Any = None, profile: str = "",
-                    chaos_seed: int = 0,
-                    horizon: Optional[float] = None) -> Any:
-        """Generate (if needed) and arm a fault-injection campaign.
-
-        ``plan`` may be a prebuilt :class:`~repro.chaos.plan.ChaosPlan`;
-        otherwise a campaign is generated from ``profile`` (a name in
-        :data:`repro.chaos.plan.PROFILES` or a
-        :class:`~repro.chaos.plan.CampaignConfig`), falling back to the
-        constructor's ``chaos=`` knob.  Call after hosts are built —
-        campaign generation targets the current topology.  Returns the
-        armed :class:`~repro.chaos.injector.ChaosInjector`.
-        """
-        from .chaos.injector import ChaosInjector
-        from .chaos.plan import (
-            PROFILES,
-            CampaignConfig,
-            ChaosPlan,
-            generate_campaign,
-        )
-        if self.chaos is not None:
-            raise LegionError("a chaos injector is already armed")
-        source = plan if plan is not None else (profile or self.chaos_config)
-        if source is None:
-            raise LegionError(
-                "no chaos plan or profile (pass plan=/profile= or "
-                "construct with Metasystem(chaos=...))")
-        if isinstance(source, ChaosPlan):
-            built = source
-        else:
-            if isinstance(source, str):
-                config = PROFILES.get(source)
-                if config is None:
-                    raise LegionError(
-                        f"unknown chaos profile {source!r}; choose from "
-                        f"{sorted(PROFILES)}")
-                profile_name = source
-            elif isinstance(source, CampaignConfig):
-                config = source
-                profile_name = profile or "custom"
-            else:
-                raise LegionError(
-                    f"chaos source must be a profile name, "
-                    f"CampaignConfig, or ChaosPlan, got {type(source)}")
-            if horizon:
-                config = config.with_horizon(horizon)
-            built = generate_campaign(self, config, seed=chaos_seed,
-                                      profile=profile_name)
-        self.chaos = ChaosInjector(self, built).arm()
-        return self.chaos
-
-    def enable_guardrails(self, config: Any = None, **kwargs) -> Any:
-        """Install the self-healing layer (detect → quarantine → route
-        around → probe → recover):
-
-        * a :class:`~repro.guardrails.health.HealthMonitor` classifying
-          hosts LIVE/SUSPECT/DOWN and publishing ``host_health`` into
-          Collection records,
-        * per-destination circuit breakers on the transport,
-        * a shared load-aware admission controller on every Host Object,
-        * query-time exclusion of DOWN records in the Collection (and
-          every federation shard), plus Enactor-side load shedding.
-
-        Idempotent — a second call returns the existing suite.  The layer
-        draws no random numbers, so enabling it never perturbs the seeded
-        streams of an existing scenario.  Keyword overrides build a
-        :class:`~repro.guardrails.config.GuardrailConfig`.
-        """
-        from .guardrails import (
-            AdmissionController,
-            BreakerBoard,
-            GuardrailConfig,
-            GuardrailSuite,
-            HealthMonitor,
-        )
-        if self.guardrails is not None:
-            return self.guardrails
-        if config is None:
-            config = GuardrailConfig(**kwargs)
-        elif kwargs:
-            raise ValueError("pass either config= or keyword overrides, "
-                             "not both")
-        monitor = HealthMonitor(
-            self.sim, self.collection,
-            interval=config.health_interval,
-            suspect_after=config.suspect_after,
-            down_after=config.down_after,
-            fail_suspect=config.fail_suspect,
-            fail_down=config.fail_down,
-            metrics=self.metrics, spans=self.spans)
-        board = BreakerBoard(
-            lambda: self.sim.now,
-            failure_threshold=config.breaker_failure_threshold,
-            cooldown=config.breaker_cooldown,
-            metrics=self.metrics, spans=self.spans,
-            listener=monitor.note_outcome)
-        admission = AdmissionController(
-            max_pending=config.admission_max_pending,
-            load_limit=config.admission_load_limit,
-            metrics=self.metrics)
-        self.transport.breakers = board
-        self.enactor.health = monitor
-        self.enactor.shed_suspect = config.shed_suspect
-        self.collection.exclude_down_members = True
-        for host in self.hosts:
-            host.admission = admission
-            monitor.watch(host, self._host_credentials.get(host.loid))
-        monitor.start()
-        self.guardrails = GuardrailSuite(config, monitor, board, admission)
-        return self.guardrails
-
-    def enable_economy(self, config: Any = None, **kwargs) -> Any:
-        """Install the computational-economy layer (ROADMAP item 3):
-
-        * a metered accounting :class:`~repro.accounting.ledger.Ledger`
-          attached to every Host (cycles x price on completion/kill),
-        * a :class:`~repro.economy.market.Market` that prices hosts from
-          speed and repricess them from load/utilization on a seeded
-          daemon, publishing ``host_ask_price`` into Collection records,
-        * a :class:`~repro.economy.budget.BudgetManager` hooked into the
-          ledger so charges land on per-user accounts,
-        * a :class:`~repro.economy.auction.SealedBidAuction` the economic
-          schedulers clear their reservation rounds through.
-
-        Idempotent — a second call returns the existing suite.  Market
-        jitter draws only from the dedicated ``("economy", "market")``
-        stream, so enabling the economy never perturbs the other seeded
-        streams of an existing scenario.  Keyword overrides build an
-        :class:`~repro.economy.config.EconomyConfig`.
-        """
-        from .accounting.ledger import Ledger
-        from .economy import (
-            BudgetManager,
-            EconomyConfig,
-            EconomySuite,
-            Market,
-            SealedBidAuction,
-        )
-        if self.economy is not None:
-            return self.economy
-        if config is None:
-            config = EconomyConfig(**kwargs)
-        elif kwargs:
-            raise ValueError("pass either config= or keyword overrides, "
-                             "not both")
-        ledger = Ledger(clock=lambda: self.sim.now)
-        budgets = BudgetManager(clock=lambda: self.sim.now,
-                                metrics=self.metrics)
-        budgets.attach_ledger(ledger)
-        market = Market(
-            self.sim, rng=self.rngs.stream("economy", "market"),
-            base_price=config.base_price,
-            speed_premium=config.speed_premium,
-            load_factor=config.load_factor,
-            util_factor=config.util_factor,
-            repricing_interval=config.repricing_interval,
-            repricing_jitter=config.repricing_jitter,
-            demand_bump=config.demand_bump,
-            metrics=self.metrics, spans=self.spans)
-        auction = SealedBidAuction(pricing=config.auction_pricing,
-                                   metrics=self.metrics)
-        for host in self.hosts:
-            ledger.attach(host)
-            market.enroll(host)
-        market.start()
-        self.metrics.gauge_fn("economy_budget_committed",
-                              lambda: budgets.total_committed,
-                              help="funds held against pending placements")
-        self.economy = EconomySuite(config=config, market=market,
-                                    auction=auction, budgets=budgets,
-                                    ledger=ledger)
-        return self.economy
-
-    def enable_retries(self, policy: Any = None, **kwargs) -> Any:
-        """Install the opt-in resilience layer: a shared RetryPolicy on
-        the transport (idempotent calls) and the Enactor (reservation
-        round).  Jitter draws from a dedicated seeded stream, keeping
-        retry-enabled runs deterministic."""
-        if policy is None:
-            from .chaos.retry import RetryPolicy
-            policy = RetryPolicy(rng=self.rngs.stream("chaos", "retry"),
-                                 **kwargs)
-        self.transport.retry_policy = policy
-        self.enactor.retry_policy = policy
-        return policy
-
-    def start_service(self, config: Any = None, app: Any = None,
-                      recovery: Any = None, **kwargs) -> Any:
-        """Start the live service tier (ROADMAP item 2): a typed
-        :class:`~repro.service.gateway.RequestGateway` feeding a bounded
-        :class:`~repro.service.queue.PlacementQueue` drained by a
-        :class:`~repro.service.workers.WorkerPool` of seeded daemons
-        driving :meth:`~repro.scheduler.base.Scheduler.run`.
-
-        ``app`` is the Class placed per request (default: a maximally
-        portable ``service-app`` class sized by the config's ``work``).
-        Idempotent — a second call returns the existing suite.  All
-        randomness draws from dedicated ``("service", ...)`` streams, so
-        starting the service never perturbs the other seeded streams of
-        an existing scenario.  Keyword overrides build a
-        :class:`~repro.service.config.ServiceConfig`.
-
-        ``recovery`` (a :class:`~repro.recovery.RecoveryConfig`, or
-        ``True`` for defaults) arms the crash-recovery layer: a
-        write-ahead :class:`~repro.recovery.journal.RequestJournal`, a
-        TTL :class:`~repro.recovery.leases.LeaseTable` with per-worker
-        heartbeats, and a :class:`~repro.recovery.supervisor.Supervisor`
-        daemon that requeues orphans of crashed workers.  Recovery-mode
-        workers run their schedulers with ``viable_cache=False`` so a
-        checkpoint-restored scheduler (cold cache) behaves identically
-        to one that ran straight through.
-        """
-        from .service import (
-            PlacementQueue,
-            RequestGateway,
-            ServiceConfig,
-            ServiceSuite,
-            WorkerPool,
-        )
-        if self.service is not None:
-            return self.service
-        if config is None:
-            config = ServiceConfig(**kwargs)
-        elif kwargs:
-            raise ValueError("pass either config= or keyword overrides, "
-                             "not both")
-        if recovery is True:
-            from .recovery import RecoveryConfig
-            recovery = RecoveryConfig()
-        if app is None:
-            from .workload.testbed import implementations_for_all_platforms
-            app = self.create_class("service-app",
-                                    implementations_for_all_platforms(),
-                                    work_units=config.work)
-        journal = leases = supervisor = None
-        heartbeat_interval = 0.0
-        sched_kwargs = {}
-        if recovery is not None:
-            from .recovery import LeaseTable, RequestJournal
-            journal = RequestJournal(lambda: self.sim.now,
-                                     metrics=self.metrics)
-            leases = LeaseTable(recovery.lease_ttl, metrics=self.metrics)
-            heartbeat_interval = recovery.heartbeat_interval
-            sched_kwargs["viable_cache"] = False
-        queue = PlacementQueue(config.queue_cap, config.backpressure,
-                               metrics=self.metrics)
-        gateway = RequestGateway(self.sim, queue, config,
-                                 metrics=self.metrics, spans=self.spans,
-                                 hosts=self.hosts, journal=journal)
-        pool = WorkerPool(
-            self.sim, queue, gateway, app, config,
-            scheduler_factory=lambda i: self.make_scheduler(
-                config.scheduler,
-                rng=self.rngs.stream("service", "sched", str(i)),
-                name=f"svc-w{i}", **sched_kwargs),
-            rng_factory=lambda i: self.rngs.stream("service", "retry",
-                                                   str(i)),
-            metrics=self.metrics, spans=self.spans,
-            leases=leases, journal=journal,
-            heartbeat_interval=heartbeat_interval)
-        pool.start()
-        if recovery is not None:
-            from .recovery import Supervisor
-            supervisor = Supervisor(self.sim, gateway, leases, journal,
-                                    app, recovery.scan_interval,
-                                    metrics=self.metrics,
-                                    spans=self.spans).start()
-        self.service = ServiceSuite(config, gateway, queue, pool, app,
-                                    recovery=recovery, journal=journal,
-                                    leases=leases, supervisor=supervisor)
-        return self.service
-
-    def stop_service(self) -> Any:
-        """Tear the service tier down (checkpoint/restore's middle step).
-
-        Stops the supervisor, shuts the worker pool down (bumping every
-        worker generation so in-flight generators die at their next
-        resume), and detaches the suite from the metasystem so
-        :meth:`start_service` can build a fresh tier.  The world —
-        hosts, Collection, the app class and its placed instances —
-        keeps running.  Returns the detached suite.
-        """
-        suite, self.service = self.service, None
-        if suite is not None:
-            if suite.supervisor is not None:
-                suite.supervisor.stop()
-            suite.pool.shutdown()
-        return suite
 
     # ------------------------------------------------------------------
     # time control

@@ -19,6 +19,10 @@ The JSON export sorts keys and contains only virtual-clock values, so
 two identical seeded runs produce byte-identical reports — the property
 the ``BENCH_slo.json`` ledger pins.  ``legion-sim slo`` renders either
 form; :func:`run_slo_campaign` is the seeded run behind both.
+
+:class:`SamplerLayer` switches windowed capture on for a Metasystem
+(``meta.install(SamplerLayer(window))``) and owns the one "flush, then
+build the health report" path.
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
-from .slo import SLOResult, SLOSpec, evaluate_slos
+from ..layer import Layer
+from .slo import SLOResult, SLOSpec, default_legion_slos, evaluate_slos
 from .timeseries import MetricsSampler, sparkline
 
 __all__ = [
+    "SamplerLayer",
     "build_health_report",
     "health_report_to_json",
     "render_health_report",
@@ -103,6 +109,58 @@ def build_health_report(sampler: MetricsSampler,
     return report
 
 
+class SamplerLayer(Layer):
+    """A :class:`~repro.obs.timeseries.MetricsSampler` capturing registry
+    deltas every ``window`` virtual seconds (at most ``max_windows``
+    rows) for the SLO engine.  It draws no random numbers, so installing
+    it never perturbs the seeded streams of an existing scenario."""
+
+    name = "sampler"
+
+    def __init__(self, window: float = 30.0, max_windows: int = 256):
+        self.window = float(window)
+        self.max_windows = int(max_windows)
+
+    def install(self, meta: Any) -> None:
+        self.meta = meta
+        self.sampler = MetricsSampler(meta.sim, meta.metrics,
+                                      window=self.window,
+                                      max_windows=self.max_windows).start()
+
+    def teardown(self) -> None:
+        self.sampler.stop()
+
+    def evaluate(self, specs: Sequence[SLOSpec]) -> List[SLOResult]:
+        """Close the trailing window; evaluate ``specs`` over history."""
+        self.sampler.flush()
+        return evaluate_slos(specs, self.sampler.windows)
+
+    def slo_summary(self, results: Sequence[SLOResult]) -> Dict[str, Any]:
+        """The ``slo`` section the campaign reports carry."""
+        return {
+            "window_seconds": self.window,
+            "windows": len(self.sampler.windows),
+            "minutes_lost": round(sum(r.minutes_lost for r in results), 6),
+            "alerts": sum(len(r.alerts) for r in results),
+            "exhausted": sum(1 for r in results if r.exhausted),
+            "budgets": {r.spec.name: round(r.budget_consumed, 6)
+                        for r in results},
+        }
+
+    def health_report(self, specs: Optional[Sequence[SLOSpec]] = None,
+                      include_windows: bool = True,
+                      title: str = "slo health") -> Dict[str, Any]:
+        """Close the trailing window and build the unified health report
+        over ``specs`` (default: the stock Legion objectives,
+        :func:`~repro.obs.slo.default_legion_slos`)."""
+        self.sampler.flush()
+        return build_health_report(
+            self.sampler,
+            list(specs) if specs is not None else default_legion_slos(),
+            spans=self.meta.spans.spans, title=title,
+            include_windows=include_windows)
+
+
 def run_slo_campaign(seed: int = 0, n_domains: int = 2,
                      hosts_per_domain: int = 4, platform_mix: int = 2,
                      background_load: float = 0.5, waves: int = 6,
@@ -121,7 +179,9 @@ def run_slo_campaign(seed: int = 0, n_domains: int = 2,
     fields through to the :class:`~repro.workload.testbed.TestbedSpec`.
     Raises ``ValueError`` for an unknown scheduler kind.
     """
+    from ..chaos.layer import ChaosLayer, RetryLayer
     from ..errors import LegionError
+    from ..guardrails.layer import GuardrailsLayer
     from ..scheduler.base import ObjectClassRequest
     from ..workload.testbed import (
         TestbedSpec,
@@ -129,14 +189,19 @@ def run_slo_campaign(seed: int = 0, n_domains: int = 2,
         implementations_for_all_platforms,
     )
 
+    layers: List[Layer] = [SamplerLayer(window)]
+    if guardrails:
+        layers.append(GuardrailsLayer())
+    if chaos_profile:
+        layers.append(ChaosLayer(profile=chaos_profile,
+                                 chaos_seed=chaos_seed,
+                                 horizon=chaos_horizon or None))
     meta = build_testbed(TestbedSpec(
         n_domains=n_domains, hosts_per_domain=hosts_per_domain,
         platform_mix=platform_mix, background_load_mean=background_load,
-        seed=seed, chaos_profile=chaos_profile, chaos_seed=chaos_seed,
-        chaos_horizon=chaos_horizon, guardrails=guardrails,
-        sampler_window=window, **federation))
+        seed=seed, layers=layers, **federation))
     if retry:
-        meta.enable_retries()
+        meta.install(RetryLayer())
     app = meta.create_class("cli-app", implementations_for_all_platforms(),
                             work_units=work)
     sched = meta.make_scheduler(scheduler)
@@ -146,13 +211,10 @@ def run_slo_campaign(seed: int = 0, n_domains: int = 2,
         except LegionError:
             pass
         meta.advance(wave_interval)
-    if meta.chaos is not None:
-        meta.chaos.teardown()
-    meta.sampler.flush()
-    return build_health_report(
-        meta.sampler,
-        list(specs) if specs is not None else meta.default_slos(),
-        spans=meta.spans.spans,
+    if chaos_profile:
+        meta.uninstall("chaos")
+    return meta.sampler.health_report(
+        specs,
         title=f"slo health: {waves} x {per_wave} instances via "
               f"{scheduler} (seed {seed}"
               + (f", chaos {chaos_profile}/{chaos_seed}"

@@ -26,8 +26,8 @@ package is the reproduction's equivalent for the live service tier of
   checkpoint/restore must leave the run byte-identical
   (``BENCH_gameday.json``).
 
-Enable it with ``Metasystem.start_service(config, recovery=True)`` (or a
-tuned :class:`RecoveryConfig`).
+Enable it with ``meta.install(ServiceLayer(config, recovery=True))`` (or
+a tuned :class:`RecoveryConfig`; :mod:`repro.service.layer`).
 """
 
 from .checkpoint import ServiceCheckpoint, capture_checkpoint, restore_service

@@ -4,9 +4,9 @@ OAR's restart property: the resource-management brain can be torn down
 and rebuilt from its durable state while the physical cluster keeps
 running.  The equivalent here: :func:`capture_checkpoint` serializes
 everything the *service tier* owns — the request journal, the cumulative
-gateway/queue/pool/supervisor/lease counters, plus audit snapshots of
-the budget/breaker/health state the tier depends on — as pure JSON;
-:meth:`Metasystem.stop_service` tears the tier down; and
+gateway/queue/pool/supervisor/lease counters, plus the installed
+layers' audits (the budget/breaker/health state the tier depends on) —
+as pure JSON; ``meta.uninstall("service")`` tears the tier down; and
 :func:`restore_service` rebuilds a fresh gateway/queue/pool/supervisor
 from the checkpoint and replays the journal into the exact request
 registry the old tier held.
@@ -93,18 +93,17 @@ class ServiceCheckpoint:
                 f"journal={len(self.journal)}>")
 
 
+#: audit keys every checkpoint carries, null while no installed layer
+#: reports them, so the checkpoint document keeps one fixed shape
+AUDIT_KEYS = ("breakers", "budgets", "health")
+
+
 def _audit_snapshot(meta: Any) -> Dict[str, Any]:
-    """Budget/breaker/health state the tier depends on (world-side; it
-    survives the teardown — captured so restore can verify it did)."""
-    audit: Dict[str, Any] = {"breakers": None, "health": None,
-                             "budgets": None}
-    breakers = getattr(meta.transport, "breakers", None)
-    if breakers is not None:
-        audit["breakers"] = breakers.snapshot()
-    if meta.guardrails is not None:
-        audit["health"] = meta.guardrails.monitor.snapshot()
-    if meta.economy is not None:
-        audit["budgets"] = meta.economy.budgets.to_dict()
+    """The installed layers' world-side state (it survives the tier
+    teardown — captured so restore can verify it did)."""
+    audit: Dict[str, Any] = dict.fromkeys(AUDIT_KEYS)
+    for layer in meta.layers.values():
+        audit.update(layer.audit())
     return audit
 
 
@@ -164,14 +163,15 @@ def restore_service(meta: Any, checkpoint: ServiceCheckpoint,
     world-side state that survived the teardown (restore never creates a
     new class: that would both duplicate the world object and perturb
     seeded streams).  Returns the new
-    :class:`~repro.service.ServiceSuite`; after this call the sim
+    :class:`~repro.service.layer.ServiceLayer`; after this call the sim
     continues byte-identically to a run that never checkpointed.
     """
     from ..service.config import ServiceConfig
+    from ..service.layer import ServiceLayer
     if meta.service is not None:
         raise RecoveryError(
             "cannot restore: a service tier is still running "
-            "(call Metasystem.stop_service() first)")
+            "(call meta.uninstall(\"service\") first)")
     if app.name != checkpoint.app_name:
         raise RecoveryError(
             f"checkpoint was cut against app {checkpoint.app_name!r}, "
@@ -185,7 +185,7 @@ def restore_service(meta: Any, checkpoint: ServiceCheckpoint,
             "deterministic")
     config = ServiceConfig(**checkpoint.config)
     recovery = RecoveryConfig(**checkpoint.recovery)
-    suite = meta.start_service(config=config, app=app, recovery=recovery)
+    suite = meta.install(ServiceLayer(config, app=app, recovery=recovery))
     # replay the journal into the exact request registry the old tier held
     suite.journal.load(checkpoint.journal)
     requests, live, counters = RequestJournal.replay(suite.journal.entries)

@@ -251,17 +251,19 @@ def run_gameday(seed: int = 0,
     the run must proceed byte-identically to one that never stopped.
     """
     from ..workload.testbed import TestbedSpec, build_testbed
+    from ..chaos.layer import ChaosLayer
+    from ..obs.report import SamplerLayer
     from ..service.config import ServiceConfig
+    from ..service.layer import ServiceLayer
     from ..service.report import _latency_stats, default_model
     from ..service.slos import E2E_THRESHOLD, default_service_slos
     from ..service.traffic import TrafficGenerator
-    from ..chaos.injector import ChaosInjector
 
     meta = build_testbed(TestbedSpec(
         seed=seed, n_domains=n_domains,
         hosts_per_domain=hosts_per_domain, platform_mix=platform_mix,
         host_slots=host_slots, background_load_mean=background_load,
-        sampler_window=sampler_window))
+        layers=[SamplerLayer(sampler_window)] if sampler_window else []))
     meta.place_collection("dom0")
     meta.place_enactor("dom0")
 
@@ -271,12 +273,11 @@ def run_gameday(seed: int = 0,
     recovery = RecoveryConfig(lease_ttl=lease_ttl,
                               heartbeat_interval=heartbeat_interval,
                               scan_interval=scan_interval)
-    suite = meta.start_service(config, recovery=recovery)
-    app = suite.app
+    app = meta.install(ServiceLayer(config, recovery=recovery)).app
 
     if plan is None:
         plan = default_gameday_plan(duration, workers, kills=kills)
-    injector = ChaosInjector(meta, plan).arm()
+    injector = meta.install(ChaosLayer(plan=plan)).injector
 
     model = default_model(users, duration,
                           requests_per_user_hour=requests_per_user_hour,
@@ -306,7 +307,7 @@ def run_gameday(seed: int = 0,
                 return
             checkpoint = capture_checkpoint(meta)
             blob = checkpoint.to_json()
-            meta.stop_service()
+            meta.uninstall("service")
             restore_service(meta, ServiceCheckpoint.from_json(blob), app)
             checkpoint_info = {
                 "captured_at": _round(checkpoint.captured_at),
@@ -330,7 +331,7 @@ def run_gameday(seed: int = 0,
         meta.advance(drain_step)
     drain_seconds = meta.now - drain_start
 
-    injector.teardown()
+    meta.uninstall("chaos")
     suite = meta.service  # the restored suite, when a checkpoint ran
     suite.stop()
 
@@ -341,10 +342,6 @@ def run_gameday(seed: int = 0,
         len(r.created) for r in gateway.requests.values()
         if r.state == "placed")
     duplicates = len(app.instances) - expected_instances
-
-    by_state: Dict[str, int] = {}
-    for request in gateway.requests.values():
-        by_state[request.state] = by_state.get(request.state, 0) + 1
 
     worker_repairs = [r.reverted_at - r.applied_at
                       for r in injector.records
@@ -364,14 +361,7 @@ def run_gameday(seed: int = 0,
         "plan": plan.counts_by_kind(),
     }
     report.traffic = generator.stats()
-    report.requests = {
-        "submitted": gateway.submitted,
-        "admission_rejections": gateway.admission.rejections,
-        "by_state": dict(sorted(by_state.items())),
-    }
-    report.queue = suite.queue.stats()
-    report.pool = {k: (_round(v) if isinstance(v, float) else v)
-                   for k, v in suite.pool.stats().items()}
+    report.requests, report.queue, report.pool = suite.report_sections()
     report.recovery = {
         "lost": lost,
         "duplicates": duplicates,
@@ -413,19 +403,8 @@ def run_gameday(seed: int = 0,
     report.checkpoint = checkpoint_info
 
     if meta.sampler is not None:
-        from ..obs.slo import evaluate_slos
-        meta.sampler.flush()
-        specs = default_service_slos(threshold=E2E_THRESHOLD)
-        results = evaluate_slos(specs, meta.sampler.windows)
-        report.slo = {
-            "window_seconds": meta.sampler.window,
-            "windows": len(meta.sampler.windows),
-            "minutes_lost": _round(sum(r.minutes_lost for r in results)),
-            "alerts": sum(len(r.alerts) for r in results),
-            "exhausted": sum(1 for r in results if r.exhausted),
-            "budgets": {r.spec.name: _round(r.budget_consumed)
-                        for r in results},
-        }
+        report.slo = meta.sampler.slo_summary(meta.sampler.evaluate(
+            default_service_slos(threshold=E2E_THRESHOLD)))
     return report
 
 

@@ -18,6 +18,8 @@ executor — and drives it open-loop:
 * :mod:`~repro.service.workers` — a **worker pool**: N seeded daemons on
   the sim kernel draining the queue into ``Scheduler.run`` placements,
   with per-worker spans and retry-on-transient wiring,
+* :mod:`~repro.service.layer` — ``meta.install(ServiceLayer(config))``
+  wires gateway, queue, pool and optional recovery onto a Metasystem,
 * :mod:`~repro.service.traffic` — an **open-loop traffic generator**:
   seeded diurnal/bursty user populations (Lazarevic & Sacks, PAPERS.md)
   scaling to millions of simulated users at O(arrivals) cost,
@@ -35,6 +37,7 @@ service`` gates on.
 
 from .config import ServiceConfig
 from .gateway import RequestGateway, ServiceAdmission
+from .layer import ServiceLayer
 from .queue import PlacementQueue
 from .report import (
     ServiceComparison,
@@ -61,7 +64,7 @@ from .workers import WorkerPool
 
 __all__ = [
     "ServiceConfig",
-    "ServiceSuite",
+    "ServiceLayer",
     "RequestGateway",
     "ServiceAdmission",
     "PlacementQueue",
@@ -79,34 +82,3 @@ __all__ = [
     "REJECTED", "CANCELLED", "TERMINAL_STATES",
 ]
 
-
-class ServiceSuite:
-    """The wired-up live service of one Metasystem (what
-    :meth:`~repro.metasystem.Metasystem.start_service` returns)."""
-
-    def __init__(self, config: ServiceConfig, gateway: RequestGateway,
-                 queue: PlacementQueue, pool: WorkerPool, app,
-                 recovery=None, journal=None, leases=None, supervisor=None):
-        self.config = config
-        self.gateway = gateway
-        self.queue = queue
-        self.pool = pool
-        #: the Class object service requests place instances of
-        self.app = app
-        #: recovery layer (``start_service(recovery=...)``); all None when
-        #: the tier runs without it
-        self.recovery = recovery
-        self.journal = journal
-        self.leases = leases
-        self.supervisor = supervisor
-
-    def stop(self) -> None:
-        """Stop the worker pool (queued requests stay queued)."""
-        if self.supervisor is not None:
-            self.supervisor.stop()
-        self.pool.stop()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"<ServiceSuite workers={self.pool.size} "
-                f"queue={self.queue.depth}/{self.queue.cap or 'inf'} "
-                f"requests={self.gateway.submitted}>")

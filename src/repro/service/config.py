@@ -1,9 +1,8 @@
 """ServiceConfig: the knobs of the live service tier.
 
 One frozen dataclass configures all three service components (gateway,
-queue, worker pool) so :meth:`~repro.metasystem.Metasystem.start_service`
-and ``TestbedSpec(service=...)`` take a single value, mirroring
-``GuardrailConfig`` / ``EconomyConfig``.
+queue, worker pool) so :class:`~repro.service.layer.ServiceLayer` takes
+a single value, mirroring ``GuardrailConfig`` / ``EconomyConfig``.
 """
 
 from __future__ import annotations

@@ -287,9 +287,11 @@ def run_service(seed: int = 0,
 
     ``queue_cap=0`` disables the bounded backlog (shedding off) — the
     overload baseline.  Pass a prebuilt ``meta`` to reuse a custom
-    testbed (it must not have a service started yet)."""
+    testbed (it must not have a service installed yet)."""
+    from ..obs.report import SamplerLayer
     from ..workload.testbed import TestbedSpec, build_testbed
     from .config import ServiceConfig
+    from .layer import ServiceLayer
 
     if meta is None:
         meta = build_testbed(TestbedSpec(
@@ -297,17 +299,16 @@ def run_service(seed: int = 0,
             hosts_per_domain=hosts_per_domain,
             platform_mix=platform_mix,
             host_slots=host_slots,
-            background_load_mean=background_load,
-            sampler_window=sampler_window))
+            background_load_mean=background_load))
         meta.place_collection("dom0")
         meta.place_enactor("dom0")
-    elif sampler_window and meta.sampler is None:
-        meta.start_sampler(window=sampler_window)
+    if sampler_window and meta.sampler is None:
+        meta.install(SamplerLayer(sampler_window))
 
     config = ServiceConfig(workers=workers, queue_cap=queue_cap,
                            backpressure=backpressure,
                            scheduler=scheduler, work=work)
-    suite = meta.start_service(config)
+    suite = meta.install(ServiceLayer(config))
     if model is None:
         model = default_model(users, duration,
                               requests_per_user_hour=requests_per_user_hour,
@@ -341,40 +342,19 @@ def run_service(seed: int = 0,
         backpressure=backpressure, work=work,
         slo_threshold=slo_threshold)
     report.traffic = generator.stats()
-    by_state: Dict[str, int] = {}
-    for request in gateway.requests.values():
-        by_state[request.state] = by_state.get(request.state, 0) + 1
-    report.requests = {
-        "submitted": gateway.submitted,
-        "admission_rejections": gateway.admission.rejections,
-        "by_state": dict(sorted(by_state.items())),
-    }
-    report.queue = suite.queue.stats()
-    report.pool = {k: (_round(v) if isinstance(v, float) else v)
-                   for k, v in suite.pool.stats().items()}
+    report.requests, report.queue, report.pool = suite.report_sections()
     report.latency = _latency_stats(meta.spans.spans)
     report.pending = sum(1 for r in gateway.requests.values()
                          if not r.terminal)
     report.drain_seconds = drain_seconds
 
     if meta.sampler is not None:
-        from ..obs.slo import evaluate_slos
-        meta.sampler.flush()
-        specs = default_service_slos(threshold=slo_threshold)
-        results = evaluate_slos(specs, meta.sampler.windows)
-        by_name = {r.spec.name: r for r in results}
-        latency_result = by_name.get("service-e2e-latency")
-        report.slo = {
-            "window_seconds": meta.sampler.window,
-            "windows": len(meta.sampler.windows),
-            "minutes_lost": _round(sum(r.minutes_lost for r in results)),
-            "alerts": sum(len(r.alerts) for r in results),
-            "exhausted": sum(1 for r in results if r.exhausted),
-            "latency_exhausted": (latency_result is not None
-                                  and latency_result.exhausted),
-            "budgets": {r.spec.name: _round(r.budget_consumed)
-                        for r in results},
-        }
+        results = meta.sampler.evaluate(
+            default_service_slos(threshold=slo_threshold))
+        report.slo = meta.sampler.slo_summary(results)
+        report.slo["latency_exhausted"] = any(
+            r.exhausted for r in results
+            if r.spec.name == "service-e2e-latency")
     return report
 
 

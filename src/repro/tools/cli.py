@@ -54,6 +54,7 @@ from typing import Optional, Sequence
 
 from ..bench.harness import ExperimentTable
 from ..bench import ledger
+from ..chaos.layer import ChaosLayer
 from ..errors import LegionError
 from ..metasystem import Metasystem
 from ..scheduler.base import ObjectClassRequest
@@ -69,6 +70,9 @@ __all__ = ["main", "build_parser"]
 
 
 def _build_meta(args: argparse.Namespace) -> Metasystem:
+    profile = getattr(args, "chaos_profile", "")
+    chaos = ChaosLayer(profile=profile, chaos_seed=args.chaos_seed,
+                       horizon=args.chaos_horizon or None) if profile else None
     return build_testbed(TestbedSpec(
         n_domains=args.domains,
         hosts_per_domain=args.hosts,
@@ -79,9 +83,7 @@ def _build_meta(args: argparse.Namespace) -> Metasystem:
         federation_replication=args.replication,
         gossip_interval=args.gossip_interval,
         federation_cache_ttl=args.cache_ttl,
-        chaos_profile=getattr(args, "chaos_profile", ""),
-        chaos_seed=getattr(args, "chaos_seed", 0),
-        chaos_horizon=getattr(args, "chaos_horizon", 0.0)))
+        layers=[chaos] if chaos else []))
 
 
 def _build_workload(args: argparse.Namespace, out, kind: str = ""):
@@ -219,8 +221,7 @@ def cmd_run(args: argparse.Namespace, out) -> int:
         print(f"{n}/{len(outcome.created)} completed by virtual "
               f"t={t:.1f}s", file=out)
     if meta.chaos is not None:
-        meta.chaos.teardown()
-        stats = meta.chaos.stats()
+        stats = meta.uninstall("chaos").injector.stats()
         print(f"chaos: {sum(stats['injected'].values())} fault(s) "
               f"injected, {stats['jobs_lost']} job(s) lost, "
               f"{len(stats['residual_faults'])} residual after teardown",

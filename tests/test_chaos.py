@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from repro import Metasystem
 from repro.chaos import (
     ChaosInjector,
+    ChaosLayer,
     ChaosPlan,
     FaultEvent,
+    RetryLayer,
     RetryPolicy,
     generate_campaign,
     run_campaign,
@@ -226,7 +228,8 @@ class TestRetryPolicy:
 
     def test_transport_retries_idempotent_calls(self, meta):
         host = meta.hosts[0]
-        meta.enable_retries(max_attempts=5, base_delay=0.1, jitter=0.0)
+        meta.install(RetryLayer(RetryPolicy(max_attempts=5, base_delay=0.1,
+                                            jitter=0.0)))
         meta.transport.push_loss_spike(1.0)  # every message is lost
         with pytest.raises(MessageLostError):
             meta.transport.invoke(None, host.location, lambda: 42,
@@ -239,7 +242,8 @@ class TestRetryPolicy:
         assert meta.transport.retries == 4
 
     def test_transport_retry_recovers_after_spike_clears(self, meta):
-        meta.enable_retries(max_attempts=10, base_delay=5.0, jitter=0.0)
+        meta.install(RetryLayer(RetryPolicy(max_attempts=10, base_delay=5.0,
+                                            jitter=0.0)))
         host = meta.hosts[0]
         meta.transport.push_loss_spike(1.0)
         meta.sim.schedule(12.0,
@@ -375,22 +379,22 @@ class TestInjector:
         assert chaos_events
 
     def test_metasystem_start_chaos(self, meta):
-        injector = meta.start_chaos(profile="hosts", chaos_seed=2)
-        assert meta.chaos is injector
-        assert len(injector.plan) > 0
+        layer = meta.install(ChaosLayer(profile="hosts", chaos_seed=2))
+        assert meta.chaos is layer
+        assert len(layer.injector.plan) > 0
         with pytest.raises(LegionError):
-            meta.start_chaos(profile="hosts")
+            meta.install(ChaosLayer(profile="hosts"))
 
-    def test_start_chaos_rejects_unknown_profile(self, meta):
+    def test_start_chaos_rejects_unknown_profile(self):
         with pytest.raises(LegionError):
-            meta.start_chaos(profile="apocalypse")
+            ChaosLayer(profile="apocalypse")
 
     def test_testbed_spec_arms_chaos(self):
         meta = build_testbed(TestbedSpec(
             n_domains=2, hosts_per_domain=2, background_load_mean=0.0,
-            chaos_profile="hosts", chaos_seed=1, chaos_horizon=300.0))
-        assert meta.chaos is not None
-        assert meta.chaos.plan.horizon == 300.0
+            layers=[ChaosLayer(profile="hosts", chaos_seed=1,
+                               horizon=300.0)]))
+        assert meta.chaos.injector.plan.horizon == 300.0
 
 
 # the hypothesis-generated campaign shapes below: any mix of fault

@@ -128,3 +128,43 @@ class TestMetricCatalogue:
         assert "sim_events_processed" in catalogued
         assert sorted(registered - catalogued) == [], "not catalogued"
         assert sorted(catalogued - registered) == [], "not registered"
+
+
+#: ``meta.<name>(`` calls and ``Metasystem.<name>`` references
+META_REF = re.compile(r"\bmeta\.([A-Za-z_]\w*)\(|\bMetasystem\.([A-Za-z_]\w*)")
+
+
+def source_docstrings():
+    """(path, docstring) for every module/class/function in src/repro."""
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                doc = ast.get_docstring(node)
+                if doc:
+                    yield path.relative_to(ROOT), doc
+
+
+def metasystem_references():
+    """(where, name) for every Metasystem member the prose names."""
+    texts = [(f"docs/{p.name}", p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "docs").glob("*.md"))]
+    texts.append(("README.md", read("README.md")))
+    texts.extend((str(path), doc) for path, doc in source_docstrings())
+    for where, text in texts:
+        for match in META_REF.finditer(text):
+            yield where, match.group(1) or match.group(2)
+
+
+class TestMetasystemReferences:
+    def test_docs_name_existing_metasystem_members(self):
+        from repro.metasystem import Metasystem
+        meta = Metasystem(seed=0)
+        refs = list(metasystem_references())
+        # the scan sees both spellings, so a regex regression cannot pass
+        names = {name for _where, name in refs}
+        assert {"install", "make_scheduler"} <= names
+        missing = sorted({f"{where}: {name}" for where, name in refs
+                          if not hasattr(meta, name)})
+        assert missing == []

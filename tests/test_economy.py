@@ -10,6 +10,8 @@ from repro.accounting.ledger import ChargeRecord
 from repro.economy import (
     Ask,
     BudgetManager,
+    EconomyConfig,
+    EconomyLayer,
     SealedBidAuction,
     run_economy,
     run_economy_comparison,
@@ -181,7 +183,7 @@ def econ():
                                        speed=speed),
                            slots=4)
     meta.add_vault("d")
-    suite = meta.enable_economy(repricing_jitter=0.0)
+    suite = meta.install(EconomyLayer(EconomyConfig(repricing_jitter=0.0)))
     app = meta.create_class("A", [Implementation("sparc", "SunOS")],
                             work_units=100.0)
     return meta, app, suite

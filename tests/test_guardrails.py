@@ -21,6 +21,7 @@ from repro.errors import (
     AdmissionRejected,
     CircuitOpenError,
     HostUnreachableError,
+    LegionError,
     MessageLostError,
     ReservationDeniedError,
 )
@@ -36,6 +37,7 @@ from repro.guardrails import (
     BreakerBoard,
     CircuitBreaker,
     GuardrailConfig,
+    GuardrailsLayer,
     run_comparison,
 )
 from repro.hosts import MachineSpec
@@ -74,7 +76,7 @@ def guarded_meta(seed=7, **overrides):
                         MachineSpec(arch="sparc", os_name="SunOS"),
                         slots=4)
     m.add_vault("uva", name="uva-vault")
-    m.enable_guardrails(**overrides)
+    m.install(GuardrailsLayer(GuardrailConfig(**overrides)))
     return m
 
 
@@ -370,10 +372,12 @@ class TestHealthMonitor:
         assert len(viable) == 3
         assert all(r.get("host_name") != host.machine.name for r in viable)
 
-    def test_enable_guardrails_is_idempotent_and_deterministic(self):
+    def test_second_install_raises_and_layer_is_deterministic(self):
         meta = guarded_meta()
-        suite = meta.enable_guardrails()
-        assert suite is meta.guardrails
+        layer = meta.guardrails
+        with pytest.raises(LegionError):
+            meta.install(GuardrailsLayer())
+        assert meta.guardrails is layer
         # guardrails draw no RNG: identical seeds stay identical with
         # the layer enabled (the determinism suite covers the rest)
         a = guarded_meta(seed=11)

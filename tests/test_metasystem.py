@@ -52,6 +52,17 @@ class TestBootstrap:
                 str(vault.loid), str(second.loid)]
             m.advance(30.0)
 
+    @pytest.mark.parametrize("push", [True, False])
+    def test_vault_added_after_host_writes_its_record_once(self, push):
+        m = Metasystem(seed=1)
+        m.add_domain("d")
+        host = m.add_unix_host("h0", "d", push_to_collection=push)
+        record = m.collection.record_of(host.loid)
+        before = record.update_count
+        vault = m.add_vault("d")
+        assert record.update_count == before + 1
+        assert str(vault.loid) in record.attributes["compatible_vaults"]
+
     def test_unknown_scheduler_kind(self, meta):
         with pytest.raises(ValueError):
             meta.make_scheduler("magic")

@@ -41,7 +41,7 @@ from repro.recovery import (
     run_gameday_comparison,
 )
 from repro.recovery.checkpoint import quiescence_blockers
-from repro.service import ServiceConfig
+from repro.service import ServiceConfig, ServiceLayer
 from repro.service.request import TERMINAL_STATES
 from repro.sim.kernel import grid_delay
 from repro.tools import main
@@ -62,10 +62,10 @@ def build_recovery_service(seed=0, ttl=5.0, heartbeat=2.0, scan=2.0,
         background_load_mean=0.2))
     cfg.setdefault("workers", 1)
     cfg.setdefault("queue_cap", 16)
-    suite = meta.start_service(
+    suite = meta.install(ServiceLayer(
         ServiceConfig(**cfg),
         recovery=RecoveryConfig(lease_ttl=ttl, heartbeat_interval=heartbeat,
-                                scan_interval=scan))
+                                scan_interval=scan)))
     return meta, suite
 
 
@@ -354,7 +354,7 @@ class TestCheckpoint:
     def test_capture_refused_without_recovery_layer(self):
         meta = build_testbed(TestbedSpec(
             seed=0, n_domains=1, hosts_per_domain=3, platform_mix=2))
-        meta.start_service(ServiceConfig())
+        meta.install(ServiceLayer(ServiceConfig()))
         assert quiescence_blockers(meta) == \
             ["service tier started without the recovery layer"]
 
@@ -369,7 +369,7 @@ class TestCheckpoint:
         meta, suite = build_recovery_service()
         meta.advance(3.0)
         checkpoint = capture_checkpoint(meta)
-        meta.stop_service()
+        meta.uninstall("service")
         from repro.workload.testbed import implementations_for_all_platforms
         other = meta.create_class("other-app",
                                   implementations_for_all_platforms())
@@ -386,7 +386,7 @@ class TestCheckpoint:
         grants = suite.leases.grants
         checkpoint = ServiceCheckpoint.from_json(
             capture_checkpoint(meta).to_json())
-        meta.stop_service()
+        assert meta.uninstall("service") is suite
         assert meta.service is None
         restored = restore_service(meta, checkpoint, suite.app)
         after = RequestJournal.snapshot_state(restored.gateway,

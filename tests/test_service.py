@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import AdmissionRejected
+from repro.errors import AdmissionRejected, LegionError
 from repro.service import (
     PlacementQueue,
     ServiceConfig,
+    ServiceLayer,
     TrafficModel,
     run_service,
     run_service_comparison,
@@ -46,7 +47,7 @@ def build_service(seed=0, **cfg):
     meta = build_testbed(TestbedSpec(
         seed=seed, n_domains=1, hosts_per_domain=3, platform_mix=2,
         background_load_mean=0.2))
-    suite = meta.start_service(ServiceConfig(**cfg))
+    suite = meta.install(ServiceLayer(ServiceConfig(**cfg)))
     return meta, suite
 
 
@@ -283,22 +284,22 @@ class TestWorkerPool:
 
 
 class TestMetasystemWiring:
-    def test_start_service_idempotent(self):
+    def test_second_service_install_raises(self):
         meta, suite = build_service()
-        assert meta.start_service() is suite
+        with pytest.raises(LegionError):
+            meta.install(ServiceLayer())
         assert meta.service is suite
 
     def test_testbed_spec_service_knob(self):
         meta = build_testbed(TestbedSpec(
             n_domains=1, hosts_per_domain=2, platform_mix=1,
-            service=ServiceConfig(workers=1, queue_cap=4)))
-        assert meta.service is not None
+            layers=[ServiceLayer(ServiceConfig(workers=1, queue_cap=4))]))
         assert meta.service.config.workers == 1
 
     def test_testbed_spec_service_true_uses_defaults(self):
         meta = build_testbed(TestbedSpec(
             n_domains=1, hosts_per_domain=2, platform_mix=1,
-            service=True))
+            layers=[ServiceLayer()]))
         assert meta.service.config == ServiceConfig()
 
 

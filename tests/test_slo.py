@@ -22,6 +22,7 @@ from repro.obs import (
     specs_from_dict,
     specs_to_dict,
 )
+from repro.obs.report import SamplerLayer
 from repro.obs.slo import _good_below_threshold
 
 
@@ -239,26 +240,25 @@ class TestMetasystemWiring:
     def test_sampler_knob_arms_and_is_exclusive(self):
         from repro.errors import LegionError
         from repro.metasystem import Metasystem
-        meta = Metasystem(seed=0, sampler=15.0)
-        assert meta.sampler is not None
-        assert meta.sampler.window == 15.0
+        meta = Metasystem(seed=0)
+        layer = meta.install(SamplerLayer(15.0))
+        assert meta.sampler is layer
+        assert layer.sampler.window == 15.0
         with pytest.raises(LegionError):
-            meta.start_sampler()
+            meta.install(SamplerLayer())
 
     def test_sampler_off_by_default_and_report_requires_it(self):
-        from repro.errors import LegionError
         from repro.metasystem import Metasystem
         meta = Metasystem(seed=0)
         assert meta.sampler is None
-        with pytest.raises(LegionError):
-            meta.slo_health_report()
+        with pytest.raises(AttributeError):
+            meta.sampler.health_report()
 
     def test_testbed_spec_arms_sampler(self):
         from repro.workload.testbed import TestbedSpec, build_testbed
-        meta = build_testbed(TestbedSpec(sampler_window=20.0))
-        assert meta.sampler is not None
+        meta = build_testbed(TestbedSpec(layers=[SamplerLayer(20.0)]))
         meta.sim.run_until(60.0)
-        report = meta.slo_health_report(include_windows=False)
+        report = meta.sampler.health_report(include_windows=False)
         assert report["healthy"]
 
     def test_campaign_slo_summary_is_conditional(self):

@@ -9,6 +9,8 @@ import json
 import pytest
 
 from repro import Implementation, MachineSpec, Metasystem, ObjectClassRequest
+from repro.chaos import ChaosLayer
+from repro.guardrails import GuardrailsLayer
 from repro.obs import (
     NULL_SPANS,
     NullSpanTracer,
@@ -232,8 +234,9 @@ def _service_run(tracing):
     """A short seeded service campaign with chaos and guardrails on."""
     meta = build_testbed(TestbedSpec(
         seed=5, n_domains=2, hosts_per_domain=4, host_slots=8,
-        background_load_mean=0.3, tracing=tracing, guardrails=True,
-        chaos_profile="mixed", chaos_seed=3, chaos_horizon=120.0))
+        background_load_mean=0.3, tracing=tracing,
+        layers=[GuardrailsLayer(),
+                ChaosLayer(profile="mixed", chaos_seed=3, horizon=120.0)]))
     meta.place_collection("dom0")
     meta.place_enactor("dom0")
     run_service(meta=meta, duration=120.0, workers=3, queue_cap=8,
@@ -265,7 +268,8 @@ class TestTracingIsTransparent:
         off_meta, off_run = _service_run("off")
         # the workload is non-trivial and the modes really differ
         assert spans_run["requests"]
-        assert sum(spans_meta.chaos.stats()["injected"].values()) > 0
+        injected = spans_meta.chaos.injector.stats()["injected"]
+        assert sum(injected.values()) > 0
         assert len(spans_meta.spans) > 0 and len(off_meta.spans) == 0
         for key in spans_run:
             assert spans_run[key] == off_run[key], key
