@@ -127,6 +127,20 @@ class Collection(LegionObject):
         self.require_auth = require_auth
         self._clock = clock or (lambda: 0.0)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: per query path: its queries counter and candidates/results
+        #: histograms, bound once instead of per query
+        self._query_series = {
+            path: (self.metrics.bind_counter("collection_queries_total",
+                                             path=path),
+                   self.metrics.bind_histogram(
+                       "collection_query_candidates",
+                       buckets=DEFAULT_SIZE_BUCKETS, path=path),
+                   self.metrics.bind_histogram(
+                       "collection_query_results",
+                       buckets=DEFAULT_SIZE_BUCKETS, path=path))
+            for path in ("scan", "index")}
+        self._push_updates = self.metrics.bind_counter(
+            "collection_updates_total", path="push")
         #: span tracer (wired by the Metasystem; inert by default)
         self.spans = NULL_SPANS
         self._records: Dict[LOID, CollectionRecord] = {}
@@ -218,7 +232,7 @@ class Collection(LegionObject):
         record.apply_update(attributes, self._clock())
         self.mutation_version += 1
         self.updates_applied += 1
-        self.metrics.count("collection_updates_total", path="push")
+        self._push_updates.inc()
 
     def _plan_for(self, query: str) -> CompiledQuery:
         """The compiled closure plan for ``query`` (parse + compile once)."""
@@ -283,11 +297,10 @@ class Collection(LegionObject):
     def _record_query_metrics(self, path: str, candidates: int,
                               results: int) -> None:
         """One query's worth of observability (path = scan | index)."""
-        self.metrics.count("collection_queries_total", path=path)
-        self.metrics.observe("collection_query_candidates", candidates,
-                             buckets=DEFAULT_SIZE_BUCKETS, path=path)
-        self.metrics.observe("collection_query_results", results,
-                             buckets=DEFAULT_SIZE_BUCKETS, path=path)
+        queries, candidates_hist, results_hist = self._query_series[path]
+        queries.inc()
+        candidates_hist.observe(candidates)
+        results_hist.observe(results)
 
     def query_loids(self, query: str) -> List[LOID]:
         return [r.member for r in self.query(query)]

@@ -69,6 +69,7 @@ class CoAllocator:
         outcomes: List[ReservationOutcome] = []
         calls: List[Call] = []
         call_slots: List[int] = []
+        context = self.transport.spans.current_context()
         for pos, (idx, mapping) in enumerate(indexed_entries):
             outcome = ReservationOutcome(index=idx, mapping=mapping)
             outcomes.append(outcome)
@@ -85,7 +86,7 @@ class CoAllocator:
                             requester_domain=self.requester_domain,
                             offered_price=self.offered_price),
                 label=f"make_reservation[{idx}]",
-                context=self.transport.spans.current_context()))
+                context=context))
             call_slots.append(pos)
         self.requests_issued += len(calls)
 
@@ -122,6 +123,7 @@ class CoAllocator:
         simply expire.
         """
         calls: List[Call] = []
+        context = self.transport.spans.current_context()
         for mapping, token in holdings:
             host = self.resolver(mapping.host_loid)
             if host is None:
@@ -129,7 +131,7 @@ class CoAllocator:
             calls.append(Call(src=self.src, dst=host.location,
                               fn=host.cancel_reservation, args=(token,),
                               label="cancel_reservation",
-                              context=self.transport.spans.current_context()))
+                              context=context))
         if not calls:
             return 0
         self.transport.parallel_invoke(calls)

@@ -144,6 +144,23 @@ class Enactor:
         self.location = location
         self.metrics = (metrics if metrics is not None
                         else MetricsRegistry(lambda: transport.sim.now))
+        # the series every placement touches, bound once
+        self._step_seconds = {
+            step: self.metrics.bind_histogram("enactor_step_seconds",
+                                              step=step)
+            for step in ("negotiate", "reserve", "cancel", "enact")}
+        self._master_attempts = self.metrics.bind_counter(
+            "enactor_master_attempts_total")
+        self._reservation_requests = self.metrics.bind_counter(
+            "enactor_reservation_requests_total")
+        self._reservations_granted = self.metrics.bind_counter(
+            "enactor_reservations_granted_total")
+        self._cancellations = self.metrics.bind_counter(
+            "enactor_cancellations_total")
+        self._enactments = {
+            ok: self.metrics.bind_counter("enactor_enactments_total",
+                                          ok=str(ok).lower())
+            for ok in (True, False)}
         self.spans = spans if spans is not None else transport.spans
         self.coallocator = CoAllocator(
             transport, resolver, src=location,
@@ -183,10 +200,10 @@ class Enactor:
         with self.spans.span_if_active("enactor.negotiate", step="4-6",
                                        masters=len(request.masters)
                                        ) as neg_span:
-            with self.metrics.time("enactor_step_seconds", step="negotiate"):
+            with self._step_seconds["negotiate"].time():
                 for m_idx, master in enumerate(request.masters):
                     self.stats.master_attempts += 1
-                    self.metrics.count("enactor_master_attempts_total")
+                    self._master_attempts.inc()
                     with self.spans.span_if_active(
                             "enactor.master", step="4",
                             master=m_idx) as m_span:
@@ -260,7 +277,7 @@ class Enactor:
         self._count_wasted(indexed)
         with self.spans.span_if_active("enactor.reserve", step="5",
                                        entries=len(indexed)):
-            with self.metrics.time("enactor_step_seconds", step="reserve"):
+            with self._step_seconds["reserve"].time():
                 outcomes = self.coallocator.reserve_batch(
                     indexed, rtype=rtype, duration=duration,
                     start_time=start_time, timeout=timeout)
@@ -268,12 +285,11 @@ class Enactor:
                                               start_time, timeout)
         outcomes.extend(shed)
         self.stats.reservation_requests += len(indexed)
-        self.metrics.count("enactor_reservation_requests_total",
-                           len(indexed))
+        self._reservation_requests.inc(len(indexed))
         for o in outcomes:
             if o.ok:
                 self.stats.reservations_granted += 1
-                self.metrics.count("enactor_reservations_granted_total")
+                self._reservations_granted.inc()
                 key = (o.mapping.host_loid, o.mapping.vault_loid,
                        o.mapping.class_loid)
                 if key in self._cancelled_targets:
@@ -325,10 +341,10 @@ class Enactor:
                 (mapping.host_loid, mapping.vault_loid, mapping.class_loid))
         with self.spans.span_if_active("enactor.cancel",
                                        entries=len(pairs)):
-            with self.metrics.time("enactor_step_seconds", step="cancel"):
+            with self._step_seconds["cancel"].time():
                 cancelled = self.coallocator.cancel_batch(pairs)
         self.stats.cancellations += cancelled
-        self.metrics.count("enactor_cancellations_total", cancelled)
+        self._cancellations.inc(cancelled)
 
     def _try_master(self, request: ScheduleRequestList, m_idx: int,
                     master: MasterSchedule, rtype: ReservationType,
@@ -477,7 +493,7 @@ class Enactor:
         with self.spans.span_if_active("enactor.enact", step="7-11",
                                        entries=len(handle.entries)
                                        ) as e_span:
-            with self.metrics.time("enactor_step_seconds", step="enact"):
+            with self._step_seconds["enact"].time():
                 self._enact_entries(handle, result)
             e_span.set_attribute("ok", result.ok)
             if not result.ok:
@@ -512,8 +528,7 @@ class Enactor:
                     self.stats.unacked_reaps += reaped
                     self.metrics.count(
                         "enactor_unacked_creates_reaped_total", reaped)
-        self.metrics.count("enactor_enactments_total",
-                           ok=str(result.ok).lower())
+        self._enactments[result.ok].inc()
         self.spans.event("enactor", "enacted", ok=result.ok,
                          created=len(result.created))
         return result

@@ -38,7 +38,7 @@ from ..naming.loid import LOID
 from ..objects.attributes import AttrValue
 from ..objects.base import LegionObject
 from ..obs.registry import MetricsRegistry
-from ..obs.spans import NULL_SPANS
+from ..obs.spans import NULL_SCOPE, NULL_SPANS
 from ..sim.kernel import Simulator
 from .machine import SimJob, SimMachine
 from .policy import AcceptAll, PlacementPolicy, PlacementRequest
@@ -150,9 +150,11 @@ class HostObject(LegionObject):
         admission logic itself lives in :meth:`_grant_reservation`, which
         subclasses override.
         """
-        with self.spans.span_if_active("host.reserve", step="5",
-                                       host=str(self.loid),
-                                       vault=str(vault_loid)):
+        spans = self.spans
+        with (spans.span_if_active("host.reserve", step="5",
+                                   host=str(self.loid),
+                                   vault=str(vault_loid))
+              if spans.recording else NULL_SCOPE):
             try:
                 token = self._grant_reservation(
                     vault_loid, class_loid, rtype=rtype,
@@ -273,19 +275,21 @@ class HostObject(LegionObject):
         the Class reports these codes back to the Enactor (steps 10-11).
         """
         now = self.sim.now if now is None else now
-        with self.spans.span_if_active("host.start", step="10",
-                                       host=str(self.loid)) as sp:
+        spans = self.spans
+        with (spans.span_if_active("host.start", step="10",
+                                   host=str(self.loid))
+              if spans.recording else NULL_SCOPE) as sp:
             try:
                 self._admit(instance, vault_loid, reservation_token, now)
                 placed = self._execute(instance, vault_loid, now)
             except Exception as exc:
                 self.start_failures += 1
                 self.metrics.count("host_starts_total", ok="false")
+                reason = f"{type(exc).__name__}: {exc}"
                 sp.set_attribute("ok", False)
-                sp.set_attribute("error", f"{type(exc).__name__}: {exc}")
+                sp.set_attribute("error", reason)
                 sp.set_status("error")
-                return StartResult(False,
-                                   reason=f"{type(exc).__name__}: {exc}")
+                return StartResult(False, reason=reason)
             self.placed[instance.loid] = placed
             instance.host_loid = self.loid
             instance.vault_loid = vault_loid

@@ -109,9 +109,9 @@ class Metasystem:
         self.sim = Simulator()
         self.rngs = RngRegistry(seed)
         self.tracing = tracing
-        self.metrics = MetricsRegistry(clock=lambda: self.sim.now)
+        self.metrics = MetricsRegistry(clock=self.sim.clock)
         if tracing == "spans":
-            self.spans: SpanTracer = SpanTracer(lambda: self.sim.now)
+            self.spans: SpanTracer = SpanTracer(self.sim.clock)
             # outlier histogram buckets remember which trace produced them
             self.metrics.set_exemplar_provider(
                 lambda: self.spans.current_trace_id)
@@ -153,7 +153,7 @@ class Metasystem:
             self.collection = Collection(
                 self.minter.mint("svc", "collection"),
                 location=None, require_auth=require_collection_auth,
-                clock=lambda: self.sim.now, metrics=self.metrics)
+                clock=self.sim.clock, metrics=self.metrics)
             self.collection.spans = self.spans
         else:
             self.collection = self._build_federation(
@@ -222,7 +222,7 @@ class Metasystem:
             coll = Collection(
                 self.minter.mint("svc", f"collection-{shard_id}"),
                 location=None, require_auth=require_auth,
-                clock=lambda: self.sim.now, metrics=self.metrics)
+                clock=self.sim.clock, metrics=self.metrics)
             coll.spans = self.spans
             shard = CollectionShard(shard_id, coll, ring,
                                     cfg.replication)
@@ -238,7 +238,7 @@ class Metasystem:
         router = FederatedCollection(
             self.minter.mint("svc", "collection"),
             self.collection_shards, ring, cfg.replication,
-            transport=self.transport, clock=lambda: self.sim.now,
+            transport=self.transport, clock=self.sim.clock,
             metrics=self.metrics, require_auth=require_auth,
             cache_ttl=cfg.cache_ttl, shard_timeout=cfg.shard_timeout)
         router.spans = self.spans

@@ -30,7 +30,7 @@ from ..errors import (
     NetworkError,
 )
 from ..obs.registry import DEFAULT_SIZE_BUCKETS, MetricsRegistry
-from ..obs.spans import SpanTracer, TraceContext
+from ..obs.spans import NULL_SCOPE, SpanTracer, TraceContext
 from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
 from .latency import LatencyModel
@@ -84,6 +84,15 @@ class Transport:
         self._loss_rng = rngs.stream("net", "loss")
         self.metrics = (metrics if metrics is not None
                         else MetricsRegistry(lambda: sim.now))
+        # the per-message series, bound once instead of per message
+        self._sent_total = self.metrics.bind_counter(
+            "transport_messages_total", kind="sent")
+        self._lost_total = self.metrics.bind_counter(
+            "transport_messages_total", kind="lost")
+        self._rtt_seconds = self.metrics.bind_histogram(
+            "transport_invoke_rtt_seconds")
+        self._batch_size = self.metrics.bind_histogram(
+            "transport_parallel_batch_size", buckets=DEFAULT_SIZE_BUCKETS)
         self.spans = spans if spans is not None else SpanTracer(
             lambda: sim.now)
         self.loss_probability = loss_probability
@@ -140,10 +149,10 @@ class Transport:
 
     def _count_message(self, lost: bool = False) -> None:
         self.messages_sent += 1
-        self.metrics.count("transport_messages_total", kind="sent")
+        self._sent_total.inc()
         if lost:
             self.messages_lost += 1
-            self.metrics.count("transport_messages_total", kind="lost")
+            self._lost_total.inc()
 
     # -- single call --------------------------------------------------------
     def _one_way(self, src: Optional[NetLocation], dst: NetLocation,
@@ -218,9 +227,14 @@ class Transport:
         t0 = self.sim.now
         name = label or getattr(fn, "__name__", "call")
         callee_error: Optional[Exception] = None
+        spans = self.spans
+        traced = spans.recording
+        if traced:
+            src_text, dst_text = str(src), str(dst)
         try:
-            with self.spans.span_if_active(f"rpc:{name}", src=str(src),
-                                           dst=str(dst)):
+            with (spans.span_if_active(f"rpc:{name}", src=src_text,
+                                       dst=dst_text)
+                  if traced else NULL_SCOPE):
                 self._one_way(src, dst, name)
                 try:
                     result = fn(*args, **kwargs)
@@ -245,11 +259,10 @@ class Transport:
             raise
         if breakers is not None:
             breakers.record_success(dst)
-        self.spans.event("net", "invoke",
-                         src=str(src), dst=str(dst), label=name,
-                         rtt=self.sim.now - t0)
-        self.metrics.observe("transport_invoke_rtt_seconds",
-                             self.sim.now - t0)
+        if traced:
+            spans.event("net", "invoke", src=src_text, dst=dst_text,
+                        label=name, rtt=self.sim.now - t0)
+        self._rtt_seconds.observe(self.sim.now - t0)
         return result
 
     def transfer(self, src: Optional[NetLocation], dst: NetLocation,
@@ -264,13 +277,19 @@ class Transport:
                                                    dst)
         for factor in self._latency_factors:
             elapsed *= factor
-        with self.spans.span_if_active(f"transfer:{label}", src=str(src),
-                                       dst=str(dst), nbytes=nbytes):
+        spans = self.spans
+        traced = spans.recording
+        if traced:
+            src_text, dst_text = str(src), str(dst)
+        with (spans.span_if_active(f"transfer:{label}", src=src_text,
+                                   dst=dst_text, nbytes=nbytes)
+              if traced else NULL_SCOPE):
             self._count_message()
             self.metrics.count("transport_transfer_bytes_total", nbytes)
             self.sim.run_until(self.sim.now + elapsed)
-        self.spans.event("net", "transfer", src=str(src), dst=str(dst),
-                         nbytes=nbytes, elapsed=elapsed)
+        if traced:
+            spans.event("net", "transfer", src=src_text, dst=dst_text,
+                        nbytes=nbytes, elapsed=elapsed)
         return elapsed
 
     # -- parallel calls ------------------------------------------------------
@@ -287,20 +306,25 @@ class Transport:
             return outcomes
 
         # The caller's context backs any call that carries none of its own.
-        caller_ctx = self.spans.current_context()
+        spans = self.spans
+        caller_ctx = spans.current_context()
 
-        def _call_name(call: Call) -> str:
-            return call.label or getattr(call.fn, "__name__", "call")
+        def _rpc_span(call: Call):
+            """The call's rpc span scope (inert unless a trace is open)."""
+            if not spans.recording:
+                return NULL_SCOPE
+            name = call.label or getattr(call.fn, "__name__", "call")
+            return spans.span_if_active(f"rpc:{name}", src=str(call.src),
+                                        dst=str(call.dst))
 
         def _failed_span(call: Call, error: Exception) -> None:
             """A zero-length error span for a call that never executed."""
-            with self.spans.activate(call.context or caller_ctx):
-                with self.spans.span_if_active(
-                        f"rpc:{_call_name(call)}", src=str(call.src),
-                        dst=str(call.dst)) as sp:
-                    sp.set_status("error")
-                    sp.set_attribute(
-                        "error", f"{type(error).__name__}: {error}")
+            with spans.activate(call.context or caller_ctx):
+                with _rpc_span(call) as sp:
+                    if spans.recording:
+                        sp.set_status("error")
+                        sp.set_attribute(
+                            "error", f"{type(error).__name__}: {error}")
 
         # Sample all request latencies up front, execute in arrival order.
         breakers = self.breakers
@@ -343,18 +367,17 @@ class Transport:
         for arrive_at, i in sorted(arrivals):
             call = calls[i]
             self.sim.run_until(arrive_at)
-            with self.spans.activate(call.context or caller_ctx):
-                with self.spans.span_if_active(
-                        f"rpc:{_call_name(call)}", src=str(call.src),
-                        dst=str(call.dst)) as sp:
+            with spans.activate(call.context or caller_ctx):
+                with _rpc_span(call) as sp:
                     try:
                         value = call.fn(*call.args, **call.kwargs)
                         ok, err2 = True, None
                     except Exception as exc:
                         ok, err2, value = False, exc, None
-                        sp.set_status("error")
-                        sp.set_attribute(
-                            "error", f"{type(exc).__name__}: {exc}")
+                        if spans.recording:
+                            sp.set_status("error")
+                            sp.set_attribute(
+                                "error", f"{type(exc).__name__}: {exc}")
             if breakers is not None:
                 # the callee ran, so the destination is reachable —
                 # even when it answered with an application error
@@ -375,15 +398,13 @@ class Transport:
             # reply hops are accounted in one batch: same totals as the
             # per-hop path, one counter update instead of len(arrivals)
             self.messages_sent += replies
-            self.metrics.count("transport_messages_total", replies,
-                               kind="sent")
+            self._sent_total.inc(replies)
 
         # Failed/lost slots may have later timeout completions.
         for o in outcomes:
             completion = max(completion, o.completed_at)
         self.sim.run_until(completion)
-        self.spans.event("net", "parallel_invoke", n=len(calls),
-                         elapsed=self.sim.now - start)
-        self.metrics.observe("transport_parallel_batch_size", len(calls),
-                             buckets=DEFAULT_SIZE_BUCKETS)
+        spans.event("net", "parallel_invoke", n=len(calls),
+                    elapsed=self.sim.now - start)
+        self._batch_size.observe(len(calls))
         return outcomes

@@ -22,6 +22,8 @@ from .export import (
     snapshot_to_prometheus,
 )
 from .registry import (
+    BoundCounter,
+    BoundHistogram,
     Counter,
     DEFAULT_SIZE_BUCKETS,
     DEFAULT_TIME_BUCKETS,
@@ -33,6 +35,7 @@ from .registry import (
     Timer,
 )
 from .spans import (
+    NULL_SCOPE,
     NULL_SPANS,
     NullSpanTracer,
     Span,
@@ -81,6 +84,8 @@ __all__ = [
     "NullMetricsRegistry",
     "NULL_METRICS",
     "Counter",
+    "BoundCounter",
+    "BoundHistogram",
     "Gauge",
     "Histogram",
     "Timer",
@@ -95,6 +100,7 @@ __all__ = [
     "SpanTracer",
     "NullSpanTracer",
     "NULL_SPANS",
+    "NULL_SCOPE",
     "TraceContext",
     "chrome_trace",
     "chrome_trace_json",

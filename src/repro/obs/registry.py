@@ -30,7 +30,13 @@ Design points:
   max-latency observation that landed there (when an
   ``exemplar_provider`` is wired — the Metasystem connects it to the
   span tracer), so an outlier percentile links straight to the causal
-  timeline that produced it.
+  timeline that produced it;
+* **pre-bound leaves** — a hot call site holds a :class:`BoundCounter`
+  or :class:`BoundHistogram` from :meth:`MetricsRegistry.bind_counter` /
+  :meth:`~MetricsRegistry.bind_histogram` instead of resolving its
+  series by name and labels on every call.  A bound leaf attaches its
+  series on first use, so a series that is never touched stays out of
+  the snapshot exactly as with the one-line helpers.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Timer",
+    "BoundCounter",
+    "BoundHistogram",
     "MetricsRegistry",
     "NullMetricsRegistry",
     "NULL_METRICS",
@@ -99,7 +107,11 @@ class _Instrument:
                 for key in sorted(self._children)]
 
     def reset(self) -> None:
-        self._children.clear()
+        """Zero every series.  Labelled children are kept (zeroed in
+        place), so a leaf a subsystem holds keeps counting into the
+        snapshot."""
+        for child in self._children.values():
+            child._reset_leaf()
         self._reset_leaf()
 
     def _reset_leaf(self) -> None:
@@ -325,6 +337,82 @@ class _NullTimer:
         return None
 
 
+class _BoundLeaf:
+    """One series of a registry, resolved on first use and then held."""
+
+    __slots__ = ("_registry", "_cls", "_name", "_help", "_labels",
+                 "_kwargs", "_leaf")
+
+    def __init__(self, registry: "MetricsRegistry", cls, name: str,
+                 help: str, labels: Dict[str, Any], **kwargs: Any):
+        self._registry = registry
+        self._cls = cls
+        self._name = name
+        self._help = help
+        self._labels = labels
+        self._kwargs = kwargs
+        self._leaf = None
+
+    def _bind(self) -> Any:
+        leaf = self._leaf = self._registry._resolve(
+            self._cls, self._name, self._help, self._labels, **self._kwargs)
+        return leaf
+
+
+class BoundCounter(_BoundLeaf):
+    """A counter series bound once (:meth:`MetricsRegistry.bind_counter`)."""
+
+    __slots__ = ()
+
+    def inc(self, n: float = 1.0) -> None:
+        leaf = self._leaf
+        if leaf is None:
+            leaf = self._bind()
+        leaf.inc(n)
+
+
+class BoundHistogram(_BoundLeaf):
+    """A histogram series bound once
+    (:meth:`MetricsRegistry.bind_histogram`); observations carry the
+    registry's exemplar as :meth:`MetricsRegistry.observe` does."""
+
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        leaf = self._leaf
+        if leaf is None:
+            leaf = self._bind()
+        provider = self._registry._exemplar_provider
+        leaf.observe(value, None if provider is None else provider())
+
+    def time(self) -> Timer:
+        leaf = self._leaf
+        if leaf is None:
+            leaf = self._bind()
+        registry = self._registry
+        return Timer(leaf, registry._clock,
+                     exemplar_fn=registry._exemplar_provider)
+
+
+class _NullBound:
+    """The bound leaf of a :class:`NullMetricsRegistry`: records nothing."""
+
+    __slots__ = ()
+
+    def inc(self, n: float = 1.0) -> None:
+        return
+
+    def observe(self, value: float) -> None:
+        return
+
+    def time(self) -> _NullTimer:
+        return _NULL_TIMER
+
+
+_NULL_TIMER = _NullTimer()
+_NULL_BOUND = _NullBound()
+
+
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
@@ -443,6 +531,20 @@ class MetricsRegistry:
                                    buckets=buckets),
                      self._clock, exemplar_fn=self._exemplar_provider)
 
+    # -- pre-bound leaves ---------------------------------------------------
+    def bind_counter(self, name: str, help: str = "",
+                     **labels: Any) -> BoundCounter:
+        """The series :meth:`count` would resolve, held by the caller."""
+        return BoundCounter(self, Counter, name, help, labels)
+
+    def bind_histogram(self, name: str, help: str = "",
+                       buckets: Sequence[float] = DEFAULT_TIME_BUCKETS,
+                       **labels: Any) -> BoundHistogram:
+        """The series :meth:`observe`/:meth:`time` would resolve, held by
+        the caller."""
+        return BoundHistogram(self, Histogram, name, help, labels,
+                              buckets=buckets)
+
     # -- introspection ------------------------------------------------------
     def get(self, name: str) -> Optional[_Instrument]:
         return self._metrics.get(name)
@@ -457,8 +559,7 @@ class MetricsRegistry:
         return name in self._metrics
 
     def reset(self) -> None:
-        # resetting drops labelled children, so the resolved leaves go too
-        self._leaves.clear()
+        """Zero every series; names, series and bound leaves stay."""
         for instrument in self._metrics.values():
             instrument.reset()
 
@@ -532,7 +633,7 @@ class NullMetricsRegistry(MetricsRegistry):
         self._null_counter = _NullCounter("null")
         self._null_gauge = _NullGauge("null")
         self._null_histogram = _NullHistogram("null")
-        self._null_timer = _NullTimer()
+        self._null_timer = _NULL_TIMER
 
     def counter(self, name, help="", labelnames=()):
         return self._null_counter
@@ -559,6 +660,13 @@ class NullMetricsRegistry(MetricsRegistry):
 
     def time(self, name, help="", buckets=DEFAULT_TIME_BUCKETS, **labels):
         return self._null_timer
+
+    def bind_counter(self, name, help="", **labels):
+        return _NULL_BOUND
+
+    def bind_histogram(self, name, help="", buckets=DEFAULT_TIME_BUCKETS,
+                       **labels):
+        return _NULL_BOUND
 
 
 #: shared do-nothing registry for benchmark loops

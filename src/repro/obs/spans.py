@@ -30,7 +30,15 @@ Design points:
   explicit roots (placement, migration) do;
 * **events ride spans** — point events (``net/invoke``, ``enactor/reserved``,
   ...) are recorded by :meth:`SpanTracer.event` on the innermost open
-  span, so every event carries its request's causal context.
+  span, so every event carries its request's causal context;
+* **cheap on the hot path** — :meth:`SpanTracer.span`,
+  :meth:`~SpanTracer.span_if_active` and :meth:`~SpanTracer.activate`
+  return small slotted scope objects (no generator frames), the context
+  stack holds the open :class:`Span` objects themselves (no per-push
+  :class:`TraceContext`), and every inert path — no trace open, or a
+  :class:`NullSpanTracer` — hands out one shared no-op scope.  Call
+  sites whose attributes cost formatting test :attr:`SpanTracer.recording`
+  first.
 
 Analysis and export (trees, critical paths, Chrome trace-event JSON)
 live in :mod:`repro.obs.trace_export`.
@@ -38,9 +46,8 @@ live in :mod:`repro.obs.trace_export`.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Union
 
 __all__ = [
     "TraceContext",
@@ -48,10 +55,11 @@ __all__ = [
     "SpanTracer",
     "NullSpanTracer",
     "NULL_SPANS",
+    "NULL_SCOPE",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceContext:
     """The (trace, span) coordinates new child spans attach under.
 
@@ -64,24 +72,34 @@ class TraceContext:
     span_id: str
 
 
-@dataclass
 class Span:
     """One timed, attributed node in a trace tree."""
 
-    trace_id: str
-    span_id: str
-    parent_id: Optional[str]
-    name: str
-    start: float
-    end: Optional[float] = None
-    attributes: Dict[str, Any] = field(default_factory=dict)
-    #: "ok" | "error" | "unset" (still open)
-    status: str = "unset"
-    #: point events recorded by :meth:`SpanTracer.event`:
-    #: (time, category, event, details)
-    events: List[tuple] = field(default_factory=list)
-    #: global creation sequence number — the deterministic export order
-    seq: int = 0
+    __slots__ = ("trace_id", "span_id", "parent_id", "name", "start", "end",
+                 "attributes", "status", "events", "seq")
+
+    def __init__(self, trace_id: str, span_id: str,
+                 parent_id: Optional[str], name: str, start: float,
+                 end: Optional[float] = None,
+                 attributes: Optional[Dict[str, Any]] = None,
+                 status: str = "unset",
+                 events: Optional[List[tuple]] = None,
+                 seq: int = 0):
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.name = name
+        self.start = start
+        self.end = end
+        self.attributes: Dict[str, Any] = (
+            {} if attributes is None else attributes)
+        #: "ok" | "error" | "unset" (still open)
+        self.status = status
+        #: point events recorded by :meth:`SpanTracer.event`:
+        #: (time, category, event, details)
+        self.events: List[tuple] = [] if events is None else events
+        #: global creation sequence number — the deterministic export order
+        self.seq = seq
 
     @property
     def duration(self) -> float:
@@ -109,6 +127,70 @@ class Span:
                 f"parent={self.parent_id} status={self.status}>")
 
 
+#: a context-stack entry: an open span stands for its own context, an
+#: activated carried context is a :class:`TraceContext`
+_Entry = Union[Span, TraceContext]
+
+
+def _same(entry: _Entry, trace_id: str, span_id: str) -> bool:
+    return entry.span_id == span_id and entry.trace_id == trace_id
+
+
+class _SpanScope:
+    """``with`` scope of one span: opened on entry, closed on exit.
+
+    An escaping exception (``BaseException`` included) marks the span
+    ``error``, records it as the ``"error"`` attribute, and propagates.
+    """
+
+    __slots__ = ("_tracer", "_name", "_attributes", "_span")
+
+    def __init__(self, tracer: "SpanTracer", name: str,
+                 attributes: Dict[str, Any]):
+        self._tracer = tracer
+        self._name = name
+        self._attributes = attributes
+
+    def __enter__(self) -> Span:
+        span = self._span = self._tracer._open_span(
+            self._name, None, self._attributes)
+        return span
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        span = self._span
+        if exc_type is None:
+            self._tracer.end_span(span)
+            return
+        span.attributes.setdefault(
+            "error", f"{type(exc).__name__}: {exc}")
+        self._tracer.end_span(span, status="error")
+
+
+class _Activation:
+    """``with`` scope that parents new spans under a carried context."""
+
+    __slots__ = ("_stack", "_context")
+
+    def __init__(self, stack: List[_Entry], context: TraceContext):
+        self._stack = stack
+        self._context = context
+
+    def __enter__(self) -> None:
+        self._stack.append(self._context)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        stack, context = self._stack, self._context
+        if stack and stack[-1] is context:
+            stack.pop()
+            return
+        # a span left open above this entry, or an out-of-order end_span
+        # that already popped it: drop the topmost equal entry, if any
+        for i in range(len(stack) - 1, -1, -1):
+            if _same(stack[i], context.trace_id, context.span_id):
+                del stack[i]
+                return
+
+
 class SpanTracer:
     """Produces trees of :class:`Span`\\ s with deterministic IDs.
 
@@ -122,7 +204,7 @@ class SpanTracer:
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock = clock or (lambda: 0.0)
         self.spans: List[Span] = []
-        self._stack: List[TraceContext] = []
+        self._stack: List[_Entry] = []
         self._open: Dict[str, Span] = {}
         self._trace_seq = 0
         self._span_seq = 0
@@ -135,43 +217,45 @@ class SpanTracer:
     def enabled(self) -> bool:
         return True
 
+    @property
+    def recording(self) -> bool:
+        """Would :meth:`span_if_active` record right now?  Call sites
+        test this before formatting span attributes or event details."""
+        return bool(self._stack)
+
     # -- context ------------------------------------------------------------
     def current_context(self) -> Optional[TraceContext]:
         """The context children created right now would attach under."""
-        return self._stack[-1] if self._stack else None
+        if not self._stack:
+            return None
+        top = self._stack[-1]
+        if type(top) is TraceContext:
+            return top
+        return TraceContext(top.trace_id, top.span_id)
 
     @property
     def current_trace_id(self) -> Optional[str]:
         """The open trace's ID, or None — the metrics exemplar hook."""
         return self._stack[-1].trace_id if self._stack else None
 
-    @contextmanager
-    def activate(self, context: Optional[TraceContext]) -> Iterator[None]:
+    def activate(self, context: Optional[TraceContext]
+                 ) -> Union[_Activation, "_NullScope"]:
         """Parent subsequent spans under a carried context.
 
         With ``context=None`` this is a no-op, so call sites can pass an
         optional carried context straight through.
         """
         if context is None:
-            yield
-            return
-        self._stack.append(context)
-        try:
-            yield
-        finally:
-            for i in range(len(self._stack) - 1, -1, -1):
-                if self._stack[i] == context:
-                    del self._stack[i]
-                    break
+            return NULL_SCOPE
+        return _Activation(self._stack, context)
 
     # -- span lifecycle -------------------------------------------------------
-    def start_span(self, name: str,
-                   parent: Optional[TraceContext] = None,
-                   **attributes: Any) -> Span:
-        """Open a span (child of ``parent``/the current context, or a new
-        trace root) and make it the current context."""
-        if parent is None:
-            parent = self.current_context()
+    def _open_span(self, name: str, parent: Optional[_Entry],
+                   attributes: Dict[str, Any]) -> Span:
+        """Open a span owning ``attributes`` (not copied) and push it."""
+        stack = self._stack
+        if parent is None and stack:
+            parent = stack[-1]
         if parent is None:
             self._trace_seq += 1
             trace_id = f"t{self._trace_seq:06d}"
@@ -179,17 +263,21 @@ class SpanTracer:
         else:
             trace_id = parent.trace_id
             parent_id = parent.span_id
-        self._span_seq += 1
-        span = Span(trace_id=trace_id,
-                    span_id=f"s{self._span_seq:06d}",
-                    parent_id=parent_id, name=name,
-                    start=self._clock(),
-                    attributes=dict(attributes),
-                    seq=self._span_seq)
+        seq = self._span_seq = self._span_seq + 1
+        span_id = f"s{seq:06d}"
+        span = Span(trace_id, span_id, parent_id, name, self._clock(),
+                    None, attributes, "unset", [], seq)
         self.spans.append(span)
-        self._open[span.span_id] = span
-        self._stack.append(span.context)
+        self._open[span_id] = span
+        stack.append(span)
         return span
+
+    def start_span(self, name: str,
+                   parent: Optional[TraceContext] = None,
+                   **attributes: Any) -> Span:
+        """Open a span (child of ``parent``/the current context, or a new
+        trace root) and make it the current context."""
+        return self._open_span(name, parent, attributes)
 
     def end_span(self, span: Span, status: Optional[str] = None) -> None:
         """Close a span and pop it (and anything left above it) off the
@@ -200,31 +288,26 @@ class SpanTracer:
         elif span.status == "unset":
             span.status = "ok"
         self._open.pop(span.span_id, None)
-        ctx = span.context
-        if ctx in self._stack:
-            while self._stack and self._stack[-1] != ctx:
-                self._stack.pop()
-            if self._stack:
-                self._stack.pop()
+        stack = self._stack
+        if stack and stack[-1] is span:
+            stack.pop()
+            return
+        trace_id, span_id = span.trace_id, span.span_id
+        if any(_same(entry, trace_id, span_id) for entry in stack):
+            while stack and not _same(stack[-1], trace_id, span_id):
+                stack.pop()
+            if stack:
+                stack.pop()
 
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
+    def span(self, name: str, **attributes: Any) -> _SpanScope:
         """Context manager: a child of the current context, or — with no
         context open — the root of a new trace.  An escaping exception
         marks the span (and its open ancestors' statuses stay theirs)
         as ``error`` with the exception recorded."""
-        span = self.start_span(name, **attributes)
-        try:
-            yield span
-        except BaseException as exc:
-            span.attributes.setdefault(
-                "error", f"{type(exc).__name__}: {exc}")
-            self.end_span(span, status="error")
-            raise
-        self.end_span(span)
+        return _SpanScope(self, name, attributes)
 
-    @contextmanager
-    def span_if_active(self, name: str, **attributes: Any) -> Iterator[Span]:
+    def span_if_active(self, name: str, **attributes: Any
+                       ) -> Union[_SpanScope, "_NullScope"]:
         """Like :meth:`span`, but records nothing unless a trace is open.
 
         Every instrumented subsystem below the trace roots uses this, so
@@ -232,10 +315,8 @@ class SpanTracer:
         reassessment) does not spawn junk traces.
         """
         if not self._stack:
-            yield _NULL_SPAN
-            return
-        with self.span(name, **attributes) as span:
-            yield span
+            return NULL_SCOPE
+        return _SpanScope(self, name, attributes)
 
     def record_span(self, name: str, start: float, end: float,
                     status: str = "ok", **attributes: Any) -> Span:
@@ -248,12 +329,9 @@ class SpanTracer:
         """
         self._trace_seq += 1
         self._span_seq += 1
-        span = Span(trace_id=f"t{self._trace_seq:06d}",
-                    span_id=f"s{self._span_seq:06d}",
-                    parent_id=None, name=name,
-                    start=float(start), end=float(end),
-                    attributes=dict(attributes), status=status,
-                    seq=self._span_seq)
+        span = Span(f"t{self._trace_seq:06d}", f"s{self._span_seq:06d}",
+                    None, name, float(start), float(end), attributes,
+                    status, [], self._span_seq)
         self.spans.append(span)
         return span
 
@@ -266,13 +344,14 @@ class SpanTracer:
         ``enactor/enacted``) record their protocol events here.  Dropped
         silently when no span is open.
         """
-        ctx = self.current_context()
-        if ctx is None:
+        stack = self._stack
+        if not stack:
             return
-        span = self._open.get(ctx.span_id)
+        top = stack[-1]
+        span = top if type(top) is Span else self._open.get(top.span_id)
         if span is None:
             return
-        span.add_event(self._clock(), category, event, details)
+        span.events.append((self._clock(), category, event, details))
 
     # -- introspection --------------------------------------------------------
     def traces(self) -> Dict[str, List[Span]]:
@@ -305,9 +384,10 @@ class SpanTracer:
 #: shared inert span handed out by null/no-op paths; mutating it is a
 #: silent no-op by construction (one shared instance, never exported)
 class _NullSpan(Span):
+    __slots__ = ()
+
     def __init__(self) -> None:
-        super().__init__(trace_id="", span_id="", parent_id=None,
-                         name="null", start=0.0)
+        super().__init__("", "", None, "null", 0.0)
 
     def set_attribute(self, key: str, value: Any) -> None:
         return
@@ -323,6 +403,22 @@ class _NullSpan(Span):
 _NULL_SPAN = _NullSpan()
 
 
+class _NullScope:
+    """The one inert ``with`` scope: yields the shared null span."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> Span:
+        return _NULL_SPAN
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        return None
+
+
+#: shared no-op scope returned by every inert span/activation path
+NULL_SCOPE = _NullScope()
+
+
 class NullSpanTracer(SpanTracer):
     """Records nothing — the span analogue of ``NullMetricsRegistry``
     for hot soak/benchmark loops (``Metasystem(tracing="off")``)."""
@@ -333,10 +429,6 @@ class NullSpanTracer(SpanTracer):
     @property
     def enabled(self) -> bool:
         return False
-
-    @contextmanager
-    def _null_cm(self) -> Iterator[Span]:
-        yield _NULL_SPAN
 
     def start_span(self, name: str,
                    parent: Optional[TraceContext] = None,
@@ -350,14 +442,14 @@ class NullSpanTracer(SpanTracer):
                     status: str = "ok", **attributes: Any) -> Span:
         return _NULL_SPAN
 
-    def span(self, name: str, **attributes: Any):
-        return self._null_cm()
+    def span(self, name: str, **attributes: Any) -> _NullScope:
+        return NULL_SCOPE
 
-    def span_if_active(self, name: str, **attributes: Any):
-        return self._null_cm()
+    def span_if_active(self, name: str, **attributes: Any) -> _NullScope:
+        return NULL_SCOPE
 
-    def activate(self, context: Optional[TraceContext]):
-        return self._null_cm()
+    def activate(self, context: Optional[TraceContext]) -> _NullScope:
+        return NULL_SCOPE
 
     def event(self, category: str, event: str, **details: Any) -> None:
         return

@@ -304,6 +304,12 @@ class Simulator:
         """Current virtual time."""
         return self._now
 
+    def clock(self) -> float:
+        """Current virtual time; the bound method is the clock callable
+        handed to registries, tracers and Collections (one call per read
+        where ``lambda: sim.now`` costs two)."""
+        return self._now
+
     @property
     def queue_depth(self) -> int:
         """Number of actions currently scheduled on the event heap."""

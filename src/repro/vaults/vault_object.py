@@ -28,7 +28,7 @@ from ..naming.loid import LOID
 from ..net.topology import NetLocation
 from ..objects.base import LegionObject
 from ..objects.opr import OPR
-from ..obs.spans import NULL_SPANS
+from ..obs.spans import NULL_SCOPE, NULL_SPANS
 
 __all__ = ["VaultObject"]
 
@@ -79,9 +79,10 @@ class VaultObject(LegionObject):
 
     def store_opr(self, opr: OPR) -> None:
         """Persist (or overwrite with a newer version of) an OPR."""
-        with self.spans.span_if_active("vault.store",
-                                       vault=str(self.loid),
-                                       nbytes=opr.size_bytes):
+        spans = self.spans
+        with (spans.span_if_active("vault.store", vault=str(self.loid),
+                                   nbytes=opr.size_bytes)
+              if spans.recording else NULL_SCOPE):
             existing = self._oprs.get(opr.loid)
             delta = opr.size_bytes - (existing.size_bytes if existing else 0)
             if delta > self.free_bytes:
@@ -96,8 +97,9 @@ class VaultObject(LegionObject):
             self.stores += 1
 
     def retrieve_opr(self, loid: LOID) -> OPR:
-        with self.spans.span_if_active("vault.retrieve",
-                                       vault=str(self.loid)):
+        spans = self.spans
+        with (spans.span_if_active("vault.retrieve", vault=str(self.loid))
+              if spans.recording else NULL_SCOPE):
             opr = self._oprs.get(loid)
             if opr is None:
                 raise UnknownObjectError(

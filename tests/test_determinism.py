@@ -15,7 +15,12 @@ import subprocess
 import sys
 
 from repro import Metasystem, ObjectClassRequest
-from repro.obs import chrome_trace_json, json_to_snapshot, spans_to_jsonl
+from repro.obs import (
+    chrome_trace_json,
+    json_to_snapshot,
+    render_tree,
+    spans_to_jsonl,
+)
 from repro.workload import (
     TestbedSpec,
     build_testbed,
@@ -37,9 +42,9 @@ REQUIRED_FAMILIES = (
 TRACE_KEYS = ("net", "enactor")
 
 
-def _run_workload(seed: int):
-    """One seeded end-to-end workload; returns (metrics json, counts,
-    chrome trace json, span jsonl)."""
+def _placement_meta(seed: int):
+    """One seeded end-to-end workload: two placements, then the jobs run
+    to completion."""
     meta = build_testbed(TestbedSpec(
         n_domains=2, hosts_per_domain=3, platform_mix=2,
         background_load_mean=0.4, seed=seed))
@@ -54,6 +59,13 @@ def _run_workload(seed: int):
         created.extend(outcome.created)
     wait_for_completion(meta, app, created)
     meta.advance(3600.0)
+    return meta
+
+
+def _run_workload(seed: int):
+    """Returns (metrics json, counts, chrome trace json, span jsonl) of
+    :func:`_placement_meta`."""
+    meta = _placement_meta(seed)
     counts = {key: sum(event[1] == key for span in meta.spans.spans
                        for event in span.events)
               for key in TRACE_KEYS}
@@ -166,6 +178,38 @@ def _reassess_digest() -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+#: pinned sha256 of the span exports — Chrome trace JSON, JSONL and the
+#: ``legion-sim trace tree`` text — of two seeded runs: the placement
+#: workload above and the service campaign with chaos and guardrails of
+#: ``tests/test_spans.py``.  Run-to-run determinism alone cannot catch a
+#: tracer change that alters span IDs, order, statuses, timestamps or
+#: attribute values; these pins do.  Regenerate with
+#:     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
+#: import test_determinism as t; print(t._span_export_digests())"
+#: only for a change that is meant to alter what spans record.
+SPAN_EXPORT_SNAPSHOTS = {
+    "placement": (
+        "02673a6d9013871756358caeb5ed0a277339905888a1c94a040064369ec94f73"),
+    "service": (
+        "08caf8b292b329098c81c1ed708678e4e64f3a62a2aaf2c3b68daec8916a94ba"),
+}
+
+
+def _span_export_digest(spans) -> str:
+    payload = "\n".join((chrome_trace_json(spans), spans_to_jsonl(spans),
+                         render_tree(spans)))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _span_export_digests() -> dict:
+    from test_spans import _service_run
+    service_meta, _run = _service_run("spans")
+    return {
+        "placement": _span_export_digest(_placement_meta(1234).spans.spans),
+        "service": _span_export_digest(service_meta.spans.spans),
+    }
+
+
 class TestDeterminism:
     def test_identical_seeds_identical_snapshots(self):
         json_a, counts_a, chrome_a, jsonl_a = _run_workload(seed=1234)
@@ -211,6 +255,13 @@ class TestDeterminism:
         assert any(
             s.get("value") or s.get("count")
             for m in snapshot["metrics"] for s in m["series"])
+
+
+class TestSpanExportSnapshots:
+    def test_pinned_span_export_digests(self):
+        """Span IDs, order, timestamps, statuses, attributes and events
+        export byte-identically to the pinned runs."""
+        assert _span_export_digests() == SPAN_EXPORT_SNAPSHOTS
 
 
 class TestReassessSnapshot:

@@ -78,7 +78,8 @@ class TestReadme:
 
 #: MetricsRegistry methods whose first argument is a metric name
 REGISTRY_METHODS = {"counter", "gauge", "histogram", "count", "observe",
-                    "set_gauge", "gauge_fn", "time"}
+                    "set_gauge", "gauge_fn", "time", "bind_counter",
+                    "bind_histogram"}
 
 
 def registered_metric_names():

@@ -279,6 +279,68 @@ class TestRegistry:
             assert build_snapshot(reg) == {"metrics": []}
 
 
+class TestBoundLeaves:
+    """Pre-bound leaves (``bind_counter``/``bind_histogram``) export the
+    same series the one-line helpers do."""
+
+    def test_bound_and_one_liner_snapshots_match(self):
+        bound, helpers = MetricsRegistry(), MetricsRegistry()
+        queries = bound.bind_counter("q_total", path="scan")
+        sizes = bound.bind_histogram("sizes", buckets=DEFAULT_SIZE_BUCKETS,
+                                     path="scan")
+        for n in (3, 0, 7):
+            queries.inc()
+            sizes.observe(n)
+            helpers.count("q_total", path="scan")
+            helpers.observe("sizes", n, buckets=DEFAULT_SIZE_BUCKETS,
+                            path="scan")
+        assert bound.to_json() == helpers.to_json()
+
+    def test_unused_leaf_adds_no_series(self):
+        reg = MetricsRegistry()
+        reg.bind_counter("never_total", kind="lost")
+        reg.bind_histogram("never_seconds", step="cancel")
+        assert build_snapshot(reg) == {"metrics": []}
+
+    def test_leaf_counts_into_snapshot_after_reset(self):
+        reg = MetricsRegistry()
+        sent = reg.bind_counter("messages_total", kind="sent")
+        lat = reg.bind_histogram("lat_seconds", step="enact")
+        sent.inc(4)
+        lat.observe(0.5)
+        reg.reset()
+        assert reg.get("messages_total").labels(kind="sent").value == 0
+        sent.inc()
+        lat.observe(0.25)
+        with lat.time():
+            pass
+        series = {m["name"]: m["series"]
+                  for m in reg.snapshot()["metrics"]}
+        assert series["messages_total"] == [
+            {"labels": {"kind": "sent"}, "value": 1.0}]
+        assert series["lat_seconds"][0]["count"] == 2
+
+    def test_bound_histogram_carries_the_exemplar(self):
+        reg = MetricsRegistry()
+        trace = ["t000007"]
+        reg.set_exemplar_provider(lambda: trace[0])
+        lat = reg.bind_histogram("lat_seconds", step="enact")
+        lat.observe(0.5)
+        trace[0] = None
+        lat.observe(0.75)  # larger, same bucket, but no trace open
+        leaf = reg.get("lat_seconds").labels(step="enact")
+        assert list(leaf.exemplars.values()) == [(0.5, "t000007")]
+
+    def test_null_registry_leaves_record_nothing(self):
+        for reg in (NullMetricsRegistry(), NULL_METRICS):
+            reg.bind_counter("c", path="x").inc()
+            hist = reg.bind_histogram("h", step="a")
+            hist.observe(1.0)
+            with hist.time():
+                pass
+            assert build_snapshot(reg) == {"metrics": []}
+
+
 class TestExportRoundTrip:
     def _populated(self):
         clock = {"t": 0.0}

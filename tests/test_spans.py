@@ -12,6 +12,7 @@ from repro import Implementation, MachineSpec, Metasystem, ObjectClassRequest
 from repro.chaos import ChaosLayer
 from repro.guardrails import GuardrailsLayer
 from repro.obs import (
+    NULL_SCOPE,
     NULL_SPANS,
     NullSpanTracer,
     SpanTracer,
@@ -141,6 +142,108 @@ class TestSpanTracer:
         assert tracer.current_context() is None
 
 
+class TestScopeContract:
+    """The ``with`` scopes behind span/span_if_active/activate."""
+
+    def test_base_exception_marks_span_error_and_propagates(self, tracer):
+        class Abort(BaseException):
+            pass
+
+        with pytest.raises(Abort):
+            with tracer.span("root"):
+                with tracer.span_if_active("step", step="5") as step:
+                    raise Abort("stop")
+        assert step.status == "error"
+        assert step.attributes == {"step": "5", "error": "Abort: stop"}
+        root, = tracer.find("root")
+        assert root.status == "error" and root.end is not None
+        assert tracer.current_context() is None
+
+    def test_error_attribute_set_in_the_body_is_kept(self, tracer):
+        with pytest.raises(KeyError):
+            with tracer.span("root") as root:
+                root.set_attribute("error", "mine")
+                raise KeyError("k")
+        assert root.attributes["error"] == "mine"
+
+    def test_out_of_order_end_unwinds_the_stack(self, tracer, clock):
+        outer = tracer.start_span("outer")
+        inner = tracer.start_span("inner")
+        clock.now = 2.0
+        tracer.end_span(outer)
+        assert tracer.current_context() is None  # inner went with it
+        assert inner.status == "unset" and inner.end is None
+        clock.now = 3.0
+        tracer.end_span(inner)  # not on the stack any more: no-op pop
+        assert (outer.end, inner.end) == (2.0, 3.0)
+        with tracer.span("next") as nxt:
+            pass
+        assert nxt.parent_id is None  # a fresh trace, nothing left over
+
+    def test_end_of_a_span_under_an_activation_of_itself(self, tracer):
+        span = tracer.start_span("root")
+        with tracer.activate(span.context):
+            tracer.end_span(span)
+            # entries compare by (trace, span) ID: the topmost equal
+            # one — the activation — is popped, the span's own stays ...
+            assert tracer.current_context() == span.context
+        # ... until the activation's exit removes the equal entry left
+        assert tracer.current_context() is None
+        assert span.status == "ok"
+
+    def test_nested_activation_of_the_same_context(self, tracer):
+        with tracer.span("sender") as sender:
+            carried = sender.context
+        with tracer.activate(carried):
+            with tracer.activate(carried):
+                with tracer.span_if_active("inner"):
+                    pass
+                assert tracer.current_context() == carried
+            assert tracer.current_context() == carried
+            with tracer.span_if_active("outer"):
+                pass
+        assert tracer.current_context() is None
+        assert [s.parent_id for s in tracer.find("inner")
+                + tracer.find("outer")] == [sender.span_id] * 2
+
+    def test_event_under_an_activation_reaches_the_open_span(
+            self, tracer, clock):
+        with tracer.span("root") as root:
+            with tracer.activate(root.context):
+                clock.now = 1.5
+                tracer.event("net", "invoke", label="x")
+        assert root.events == [(1.5, "net", "invoke", {"label": "x"})]
+
+    def test_off_trace_scope_is_the_shared_inert_singleton(self, tracer):
+        assert not tracer.recording
+        scope = tracer.span_if_active("orphan", host="h")
+        assert scope is NULL_SCOPE
+        assert tracer.activate(None) is NULL_SCOPE
+        with scope as span:
+            span.set_attribute("k", 1)
+        assert len(tracer) == 0
+        with tracer.span("root"):
+            assert tracer.recording
+            assert tracer.span_if_active("child") is not NULL_SCOPE
+
+    def test_every_null_tracer_entry_point_is_inert(self):
+        null = NullSpanTracer()
+        context = TraceContext("t1", "s1")
+        assert null.span("root") is NULL_SCOPE
+        assert null.span_if_active("child") is NULL_SCOPE
+        assert null.activate(context) is NULL_SCOPE
+        assert null.activate(None) is NULL_SCOPE
+        null_span = null.start_span("root")
+        assert null.record_span("r", start=0.0, end=1.0) is null_span
+        with null.span("root") as span:
+            assert span is null_span
+            null.event("net", "invoke")
+        null.end_span(null_span, status="error")
+        assert not null.recording
+        assert len(null) == 0 and null.current_context() is None
+        assert null_span.status == "unset" and null_span.events == []
+
+
 class TestNullSpanTracer:
     def test_records_nothing(self):
         null = NullSpanTracer()
@@ -239,8 +342,8 @@ def _service_run(tracing):
                 ChaosLayer(profile="mixed", chaos_seed=3, horizon=120.0)]))
     meta.place_collection("dom0")
     meta.place_enactor("dom0")
-    run_service(meta=meta, duration=120.0, workers=3, queue_cap=8,
-                surge_multiplier=4.0, drain_time=300.0)
+    report = run_service(meta=meta, duration=120.0, workers=3,
+                         queue_cap=8, surge_multiplier=4.0, drain_time=300.0)
     snapshot = build_snapshot(meta.metrics)
     # the only families tracing may touch: span-derived exemplars and
     # the retained-span gauge
@@ -258,6 +361,7 @@ def _service_run(tracing):
         "requests": [r.to_dict()
                      for r in meta.service.gateway.requests.values()],
         "metrics": snapshot,
+        "report": report.to_json(),
     }
 
 
@@ -271,6 +375,9 @@ class TestTracingIsTransparent:
         injected = spans_meta.chaos.injector.stats()["injected"]
         assert sum(injected.values()) > 0
         assert len(spans_meta.spans) > 0 and len(off_meta.spans) == 0
+        # the report's latency section comes from the gateway's request
+        # records, so it is there with tracing off as well
+        assert json.loads(spans_run["report"])["latency"]["count"] > 0
         for key in spans_run:
             assert spans_run[key] == off_run[key], key
 
