@@ -11,8 +11,8 @@ uses the monotonic :func:`time.perf_counter`.
     against the compiled closure plan and the inverted-index Collection
     on the selective E19a query — compiled keeps per-record cost flat
     and the index keeps per-query cost flat;
-(b) **placement waves** vs system size: seeded testbeds run the ledger's
-    fixed wave sequence; placement cost must stay sub-linear in total
+(b) **placement waves** vs system size: the seeded ``scale`` scenario
+    runs the ledger's fixed wave sequence at each size; placement cost must stay sub-linear in total
     hosts for fixed request sizes, and the viable-hosts cache must
     absorb the burst lookups.
 """
@@ -22,11 +22,8 @@ from dataclasses import asdict
 from conftest import run_once
 
 from repro.bench import ExperimentTable
-from repro.bench.scale import (
-    placement_table,
-    run_placement_scale,
-    run_query_engines,
-)
+from repro.bench.scale import placement_table, run_query_engines
+from repro.scenario import run_scenario, scale
 
 
 def query_scaling() -> ExperimentTable:
@@ -47,8 +44,8 @@ def query_scaling() -> ExperimentTable:
 
 
 def scheduling_scaling() -> ExperimentTable:
-    points = [asdict(p) for p in
-              run_placement_scale(sizes=(64, 256, 1024), seed=19)]
+    points = [asdict(run_scenario(scale(hosts=n, seed=19)))
+              for n in (64, 256, 1024)]
     table = placement_table(points)
     table._rows = points
     return table

@@ -23,7 +23,6 @@ from .chaos import (
     ResilienceReport,
     RetryPolicy,
     generate_campaign,
-    run_campaign,
 )
 from .hosts import (
     ALL_TYPES,
@@ -49,8 +48,6 @@ from .economy import (
     EconomyScheduler,
     Market,
     SealedBidAuction,
-    run_economy,
-    run_economy_comparison,
 )
 from .enactor import Enactor, EnactResult
 from .federation import (
@@ -87,8 +84,6 @@ from .service import (
     TrafficGenerator,
     TrafficModel,
     WorkerPool,
-    run_service,
-    run_service_comparison,
 )
 from .scheduler import (
     IRSScheduler,
@@ -102,6 +97,7 @@ from .scheduler import (
     StencilScheduler,
 )
 from .vaults import VaultObject
+from .scenario import Scenario, compare, run_scenario
 
 __version__ = "1.0.0"
 
@@ -139,13 +135,14 @@ __all__ = [
     "MetricsRegistry", "NullMetricsRegistry",
     # chaos
     "ChaosInjector", "ChaosPlan", "FaultEvent", "ResilienceReport",
-    "RetryPolicy", "generate_campaign", "run_campaign",
+    "RetryPolicy", "generate_campaign",
     # economy
     "BudgetManager", "EconomyComparison", "EconomyConfig",
     "EconomyReport", "EconomyScheduler", "Market", "SealedBidAuction",
-    "run_economy", "run_economy_comparison",
     # service
     "PlacementQueue", "RequestGateway", "ServiceComparison",
     "ServiceConfig", "ServiceReport", "TrafficGenerator", "TrafficModel",
-    "WorkerPool", "run_service", "run_service_comparison",
+    "WorkerPool",
+    # scenarios
+    "Scenario", "run_scenario", "compare",
 ]

@@ -12,7 +12,7 @@ from .scale import (
     QueryEngineBench,
     ScaleDatapoint,
     build_report,
-    run_placement_scale,
+    scale_datapoint,
     run_query_engines,
 )
 
@@ -22,6 +22,6 @@ __all__ = [
     "success_rate", "mean_or_nan", "placement_spread",
     "host_load_imbalance",
     "ScaleDatapoint", "QueryEngineBench",
-    "run_placement_scale", "run_query_engines",
+    "scale_datapoint", "run_query_engines",
     "build_report",
 ]

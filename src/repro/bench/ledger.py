@@ -7,6 +7,12 @@ number and CI can see it drift.  This module states, once per ledger:
 * its file, ``BENCH_<name>.json``;
 * its generator — a report builder and the keyword arguments it is
   called with, written once as a constant (tests import them from here);
+  for every ledger but ``scale`` the builder is
+  :func:`repro.scenario.campaign` and the arguments name a registered
+  scenario or comparison plus its parameters;
+* its commands — the ``legion-sim`` argv that writes the same document
+  with ``--out`` (per top-level key for ``slo``, whose two halves come
+  from two commands);
 * its deterministic part — the whole document, except that the scale
   ledger's wall-clock timings stay out (only its
   :data:`~repro.bench.scale.DETERMINISTIC_FIELDS` count);
@@ -24,16 +30,12 @@ naming its ledger.  :func:`write` regenerates the committed file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Tuple,
+                    Union)
 
-from ..chaos.campaign import run_campaign
-from ..economy.campaign import run_economy_comparison
-from ..guardrails.compare import run_comparison
-from ..obs.report import run_slo_campaign
-from ..recovery import run_gameday_comparison
-from ..service.report import run_service_comparison
+from ..scenario import campaign
 from . import scale
 
 __all__ = [
@@ -70,6 +72,9 @@ class Ledger:
     gates: Mapping[str, Gate]
     #: the byte-compared projection (``None``: the whole document)
     deterministic: Optional[Callable[[Doc], Any]] = None
+    #: document key ("" for the whole document) -> the ``legion-sim``
+    #: argv whose ``--out`` writes it
+    commands: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
 
     @property
     def file(self) -> str:
@@ -158,8 +163,9 @@ def shedding_protects_slo(comparison: Doc) -> bool:
 
 # -- generators and gate helpers --------------------------------------------
 def _slo(health: Mapping[str, Any], guardrails: Mapping[str, Any]) -> Doc:
-    return {"health": run_slo_campaign(**health),
-            "guardrails": run_comparison(**guardrails).to_dict()}
+    return {"health": campaign("slo", **health),
+            "guardrails": campaign(comparison="guardrails",
+                                   **guardrails).to_dict()}
 
 
 def _beats(baseline: str) -> Gate:
@@ -184,6 +190,11 @@ def _speed_holds(doc: Doc, committed: Optional[Doc]) -> bool:
                * base.get(p["hosts"], 0.0) for p in doc["sizes"])
 
 
+#: the slo ledger's world, shared by its two commands
+_SLO_WORLD = ("--chaos-profile", "hosts", "--chaos-seed", "1", "--domains",
+              "3", "--hosts", "6", "--platforms", "3", "--waves", "8")
+
+
 #: gates over a service comparison's bounded ("shedding") run
 def _shed(pred: Callable[[Doc], bool]) -> Gate:
     return lambda doc, _c: pred(doc["reports"]["shedding"])
@@ -197,27 +208,27 @@ def _straight(pred: Callable[[Doc], bool]) -> Gate:
 #: every committed ledger, by name
 LEDGERS: Dict[str, Ledger] = {ledger.name: ledger for ledger in (
     Ledger(
-        "chaos", run_campaign,
-        # legion-sim chaos --profile lossy --chaos-seed 9 --waves 6
-        #   --count 3 --compare-retry (the ledger holds the retry-on run)
-        dict(profile="lossy", chaos_seed=9, seed=0, n_domains=2,
-             hosts_per_domain=4, platform_mix=2, background_load=0.5,
-             waves=6, per_wave=3, work=250.0, wave_interval=90.0,
-             scheduler="irs", horizon=None, shards=0, guardrails=False,
-             retry=True),
+        "chaos", campaign,
+        dict(scenario="chaos", chaos_profile="lossy", chaos_seed=9, seed=0,
+             n_domains=2, hosts_per_domain=4, platform_mix=2,
+             background_load=0.5, waves=6, per_wave=3, work=250.0,
+             wave_interval=90.0, scheduler="irs", shards=0,
+             guardrails=False, retry=True),
         {"no_residual_faults": lambda d, _c: no_residual_faults(d),
          "faults_injected":
              lambda d, _c: sum(d["faults"]["injected"].values()) > 0,
          "faults_reverted":
              lambda d, _c: d["faults"]["injected"] == d["faults"]["reverted"],
-         "retry_enabled": lambda d, _c: d["retry_enabled"]}),
+         "retry_enabled": lambda d, _c: d["retry_enabled"]},
+        commands={"": ("chaos", "--chaos-profile", "lossy", "--chaos-seed",
+                       "9", "--waves", "6", "--count", "3", "--retry")}),
     Ledger(
-        "guardrails", run_comparison,
-        # legion-sim guardrails --compare --domains 3 --hosts 6
-        dict(profile="hosts", chaos_seed=1, seed=0, scheduler="irs",
-             waves=6, per_wave=4, work=250.0, wave_interval=90.0,
-             horizon=None, n_domains=3, hosts_per_domain=6, platform_mix=2,
-             background_load=0.5, shards=0, include_events=False),
+        "guardrails", campaign,
+        dict(comparison="guardrails", chaos_profile="hosts", chaos_seed=1,
+             seed=0, scheduler="irs", waves=6, per_wave=4, work=250.0,
+             wave_interval=90.0, n_domains=3, hosts_per_domain=6,
+             platform_mix=2, background_load=0.5, shards=0,
+             include_events=False),
         {"survival_not_regressed": lambda d, _c: survival_not_regressed(d),
          "wastes_fewer_reservations":
              lambda d, _c: d["benefit"]["wasted_delta"] > 0,
@@ -226,24 +237,23 @@ LEDGERS: Dict[str, Ledger] = {ledger.name: ledger for ledger in (
          "guardrails_mode_on":
              lambda d, _c: d["modes"]["guardrails"]["guardrails"]["enabled"],
          "retries_mode_guardrails_off": lambda d, _c:
-             not d["modes"]["retries"]["guardrails"]["enabled"]}),
+             not d["modes"]["retries"]["guardrails"]["enabled"]},
+        commands={"": ("guardrails", "--compare", "--domains", "3",
+                       "--hosts", "6")}),
     Ledger(
         "slo", _slo,
-        # legion-sim slo --chaos-profile hosts --chaos-seed 1 --domains 3
-        #   --hosts 6 --platforms 3 --waves 8 --guardrails --retry
-        # legion-sim slo --compare-guardrails (same world, no --retry)
         dict(health=dict(seed=0, n_domains=3, hosts_per_domain=6,
                          platform_mix=3, background_load=0.5, waves=8,
                          per_wave=4, work=250.0, wave_interval=90.0,
-                         scheduler="irs", window=30.0,
+                         scheduler="irs", sampler_window=30.0,
                          chaos_profile="hosts", chaos_seed=1,
                          guardrails=True, retry=True),
-             guardrails=dict(profile="hosts", chaos_seed=1, seed=0,
+             guardrails=dict(chaos_profile="hosts", chaos_seed=1, seed=0,
                              n_domains=3, hosts_per_domain=6,
                              platform_mix=3, background_load=0.5, waves=8,
                              per_wave=4, work=250.0, wave_interval=90.0,
                              scheduler="irs", shards=0,
-                             sampler_window=30.0)),
+                             include_events=False, sampler_window=30.0)),
         {"healthy": lambda d, _c: budgets_intact(d["health"]),
          "sampler_captured_windows":
              lambda d, _c: d["health"]["sampler"]["windows"] > 0,
@@ -258,10 +268,12 @@ LEDGERS: Dict[str, Ledger] = {ledger.name: ledger for ledger in (
              lambda d, _c: d["guardrails"]["benefit"]["slo_minutes_guardrails"]
              < d["guardrails"]["benefit"]["slo_minutes_off"],
          "guardrails_budgets_intact":
-             lambda d, _c: guardrails_budgets_intact(d["guardrails"])}),
+             lambda d, _c: guardrails_budgets_intact(d["guardrails"])},
+        commands={
+            "health": ("slo", *_SLO_WORLD, "--guardrails", "--retry"),
+            "guardrails": ("slo", *_SLO_WORLD, "--compare")}),
     Ledger(
         "scale", scale.build_report,
-        # legion-sim scale (the stock profile)
         dict(sizes=scale.DEFAULT_SIZES, waves=4, per_wave=6, seed=0,
              scheduler="irs", members=4096, reps=20),
         {"events_per_s_ratio": _speed_holds,
@@ -270,18 +282,15 @@ LEDGERS: Dict[str, Ledger] = {ledger.name: ledger for ledger in (
          "committed_compiled_speedup":
              lambda _d, c: c["query_engines"]["compiled_speedup"] >= 2.0,
          "committed_sizes": lambda _d, c: len(c["sizes"]) >= 3},
-        deterministic=_scale_part),
+        deterministic=_scale_part, commands={"": ("scale",)}),
     Ledger(
-        "economy", run_economy_comparison,
-        # legion-sim economy --compare-baselines --mode cost --seed 0
-        #   --chaos-profile lossy --chaos-seed 0 --guardrails --retry
-        #   --waves 8 --count 2 --users 3 --domains 3 --hosts 8
-        #   --platforms 3 --deadline 800 --budget 100 --deadline-safety 0.5
-        dict(mode="cost", seed=0, n_domains=3, hosts_per_domain=8,
-             platform_mix=3, background_load=0.5, waves=8, per_wave=2,
-             work=250.0, wave_interval=90.0, chaos_profile="lossy",
-             chaos_seed=0, guardrails=True, retry=True, users=3,
-             budget=100.0, deadline=800.0, deadline_safety=0.5),
+        "economy", campaign,
+        dict(comparison="baselines", mode="cost", seed=0, n_domains=3,
+             hosts_per_domain=8, platform_mix=3, background_load=0.5,
+             waves=8, per_wave=2, work=250.0, wave_interval=90.0,
+             chaos_profile="lossy", chaos_seed=0, guardrails=True,
+             retry=True, users=3, budget=100.0, deadline=800.0,
+             deadline_safety=0.5),
         {"economy_beats_baselines":
              lambda d, _c: economy_beats_baselines(d),
          "beats_random": _beats("random"),
@@ -289,14 +298,18 @@ LEDGERS: Dict[str, Ledger] = {ledger.name: ledger for ledger in (
          "within_budget":
              lambda d, _c: d["reports"]["economy"]["cost_overrun"] == 0,
          "auction_cleared": lambda d, _c:
-             d["reports"]["economy"]["auction"]["cleared_rounds"] > 0}),
+             d["reports"]["economy"]["auction"]["cleared_rounds"] > 0},
+        commands={"": ("economy", "--compare", "--chaos-profile", "lossy",
+                       "--guardrails", "--retry", "--waves", "8",
+                       "--users", "3", "--domains", "3", "--hosts", "8",
+                       "--platforms", "3", "--deadline", "800",
+                       "--budget", "100", "--deadline-safety", "0.5")}),
     Ledger(
-        "service", run_service_comparison,
-        # legion-sim serve --seed 7 --compare-shedding
-        dict(queue_cap=64, seed=7, n_domains=3, hosts_per_domain=6,
-             platform_mix=3, background_load=0.3, work=10.0,
-             scheduler="irs", users=1_000_000, duration=240.0, workers=4,
-             backpressure="shed", requests_per_user_hour=0.0036,
+        "service", campaign,
+        dict(comparison="shedding", queue_cap=64, seed=7, n_domains=3,
+             hosts_per_domain=6, platform_mix=3, background_load=0.3,
+             work=10.0, scheduler="irs", users=1_000_000, duration=240.0,
+             workers=4, backpressure="shed", requests_per_user_hour=0.0036,
              surge_multiplier=12.0, slo_threshold=30.0, host_slots=8),
         {"shedding_protects_slo": lambda d, _c: shedding_protects_slo(d),
          "overload_exhausts_unbounded": lambda d, _c:
@@ -308,16 +321,16 @@ LEDGERS: Dict[str, Ledger] = {ledger.name: ledger for ledger in (
              _shed(lambda r: r["latency"]["p99"] <= r["slo_threshold"]),
          "sheds_requests": _shed(lambda r: r["queue"]["shed"] > 0),
          "no_failed_requests": _shed(
-             lambda r: r["requests"]["by_state"].get("failed", 0) == 0)}),
+             lambda r: r["requests"]["by_state"].get("failed", 0) == 0)},
+        commands={"": ("serve", "--compare", "--seed", "7")}),
     Ledger(
-        "gameday", run_gameday_comparison,
-        # legion-sim gameday --seed 7 --compare-restore
-        dict(checkpoint_at=None, seed=7, users=1_000_000, duration=240.0,
-             workers=4, queue_cap=64, backpressure="shed", scheduler="irs",
-             work=10.0, requests_per_user_hour=0.0036,
-             surge_multiplier=12.0, kills=2, lease_ttl=20.0,
-             heartbeat_interval=5.0, scan_interval=5.0, n_domains=3,
-             hosts_per_domain=6, platform_mix=3, host_slots=8,
+        "gameday", campaign,
+        dict(comparison="restore", checkpoint_at=None, seed=7,
+             users=1_000_000, duration=240.0, workers=4, queue_cap=64,
+             backpressure="shed", scheduler="irs", work=10.0,
+             requests_per_user_hour=0.0036, surge_multiplier=12.0, kills=2,
+             lease_ttl=20.0, heartbeat_interval=5.0, scan_interval=5.0,
+             n_domains=3, hosts_per_domain=6, platform_mix=3, host_slots=8,
              background_load=0.3),
         {"passed": lambda d, _c: d["passed"] and all(
              r["passed"] for r in d["reports"].values()),
@@ -325,5 +338,6 @@ LEDGERS: Dict[str, Ledger] = {ledger.name: ledger for ledger in (
          "worker_kills": _straight(lambda r: r["worker_kills"] >= 2),
          "none_lost": _straight(lambda r: r["lost"] == 0),
          "no_duplicates": _straight(lambda r: r["duplicates"] == 0),
-         "orphan_recovered": _straight(lambda r: r["recovered"] > 0)}),
+         "orphan_recovered": _straight(lambda r: r["recovered"] > 0)},
+        commands={"": ("gameday", "--compare", "--seed", "7")}),
 )}

@@ -8,11 +8,12 @@ pinned by a committed ledger instead of anecdotes.
 
 Two measurements feed the ledger:
 
-* **placement scale** — for each system size, a seeded testbed runs a
-  fixed sequence of placement waves; the datapoint records both the
-  *deterministic* outcome (placements, instances, virtual seconds,
-  kernel events, messages, Collection queries, viable-cache hits) and
-  the *machine-dependent* speed (wall seconds, events/sec);
+* **placement scale** — for each system size, the seeded ``scale``
+  scenario (:mod:`repro.scenario`) runs a fixed sequence of placement
+  waves; the datapoint records both the *deterministic* outcome
+  (placements, instances, virtual seconds, kernel events, messages,
+  Collection queries, viable-cache hits) and the *machine-dependent*
+  speed (wall seconds, events/sec);
 * **query engines** — the E19a selective query evaluated over one large
   member set by all three engines: the tree-walking evaluator, the
   compiled closure plan, and the inverted-index Collection.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from time import perf_counter
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 from ..collection.collection import Collection
 from ..collection.indexing import IndexedCollection
@@ -48,7 +49,7 @@ __all__ = [
     "ScaleDatapoint",
     "QueryEngineBench",
     "fill_hosts",
-    "run_placement_scale",
+    "scale_datapoint",
     "run_query_engines",
     "build_report",
     "placement_table",
@@ -126,64 +127,26 @@ def fill_hosts(coll: Collection, n: int) -> None:
 
 
 # -- placement scale ---------------------------------------------------------
-def run_placement_scale(sizes: Sequence[int] = DEFAULT_SIZES,
-                        waves: int = 4, per_wave: int = 6,
-                        seed: int = 0, scheduler: str = "irs",
-                        wave_interval: float = 60.0,
-                        ) -> List[ScaleDatapoint]:
-    """Run the seeded wave workload at each system size.
-
-    Sizes must be divisible by 4 (the testbed uses four domains).
-    """
-    from ..scheduler.base import ObjectClassRequest
-    from ..workload.testbed import (
-        TestbedSpec,
-        build_testbed,
-        implementations_for_all_platforms,
-    )
-
-    points: List[ScaleDatapoint] = []
-    for n in sizes:
-        if n % 4:
-            raise ValueError(f"size {n} not divisible by 4 domains")
-        meta = build_testbed(TestbedSpec(
-            seed=seed, n_domains=4, hosts_per_domain=n // 4,
-            platform_mix=3, background_load_mean=0.5))
-        app = meta.create_class("scale-app",
-                                implementations_for_all_platforms(),
-                                work_units=100.0)
-        sched = meta.make_scheduler(scheduler)
-        t0 = perf_counter()
-        v0 = meta.now
-        e0 = meta.sim.events_processed
-        m0 = meta.transport.messages_sent
-        placements = instances = 0
-        for _wave in range(waves):
-            # each wave is a burst of two back-to-back requests (two
-            # users submitting in the same instant): the second request
-            # exercises the Scheduler's viable-hosts cache, while the
-            # advance between waves refreshes host attributes and so
-            # forces revalidation
-            for _burst in range(2):
-                outcome = sched.run(
-                    [ObjectClassRequest(app, count=per_wave)])
-                if outcome.ok:
-                    placements += 1
-                    instances += len(outcome.created)
-            meta.advance(wave_interval)
-        wall = perf_counter() - t0
-        events = meta.sim.events_processed - e0
-        points.append(ScaleDatapoint(
-            hosts=n, waves=waves, per_wave=per_wave, seed=seed,
-            scheduler=scheduler, placements=placements,
-            instances=instances, virtual_s=meta.now - v0,
-            events=events,
-            messages=meta.transport.messages_sent - m0,
-            collection_queries=sched.collection_queries,
-            viable_cache_hits=sched.viable_cache_hits,
-            wall_s=wall,
-            events_per_s=(events / wall if wall > 0 else 0.0)))
-    return points
+def scale_datapoint(run: Any) -> ScaleDatapoint:
+    """One size's datapoint from a finished ``scale`` scenario
+    (:mod:`repro.scenario`).  The testbed dispatches no events and sends
+    no messages before the waves start, so the kernel and transport
+    totals are the waves' own."""
+    p, meta = run.scenario.params, run.meta
+    placed = [outcome for _user, outcome, _at in run.placements
+              if outcome is not None and outcome.ok]
+    sched = run.schedulers[""]
+    events = meta.sim.events_processed
+    return ScaleDatapoint(
+        hosts=p["hosts"], waves=p["waves"], per_wave=p["per_wave"],
+        seed=p["seed"], scheduler=p["scheduler"], placements=len(placed),
+        instances=sum(len(outcome.created) for outcome in placed),
+        virtual_s=meta.now - run.t0, events=events,
+        messages=meta.transport.messages_sent,
+        collection_queries=sched.collection_queries,
+        viable_cache_hits=sched.viable_cache_hits,
+        wall_s=run.wall_s,
+        events_per_s=(events / run.wall_s if run.wall_s > 0 else 0.0))
 
 
 # -- query engines -----------------------------------------------------------
@@ -237,8 +200,10 @@ def build_report(sizes: Sequence[int] = DEFAULT_SIZES,
                  scheduler: str = "irs", members: int = 4096,
                  reps: int = 20) -> Dict[str, Any]:
     """Assemble the full BENCH_scale.json document."""
-    points = run_placement_scale(sizes, waves=waves, per_wave=per_wave,
-                                 seed=seed, scheduler=scheduler)
+    from ..scenario import run_scenario, scale
+    points = [run_scenario(scale(hosts=n, waves=waves, per_wave=per_wave,
+                                 seed=seed, scheduler=scheduler))
+              for n in sizes]
     engines = run_query_engines(members=members, reps=reps)
     return {
         "schema": 1,

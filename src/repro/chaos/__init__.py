@@ -16,16 +16,14 @@ measured behaviour:
   that lets the system *survive* transient faults;
 * :mod:`~repro.chaos.layer` — ChaosLayer and RetryLayer, which switch
   the two on for a Metasystem;
-* :mod:`~repro.chaos.report` / :mod:`~repro.chaos.campaign` —
-  ResilienceReport aggregation and the end-to-end ``run_campaign``
-  driver behind ``legion-sim chaos``.
+* :mod:`~repro.chaos.report` — ResilienceReport, the outcome of the
+  ``chaos`` scenario (:mod:`repro.scenario`) behind ``legion-sim chaos``.
 
 Entry points: ``meta.install(ChaosLayer(profile=...))``,
 ``meta.install(RetryLayer())``, and
-:func:`repro.chaos.campaign.run_campaign`.
+``run_scenario(chaos(...))`` from :mod:`repro.scenario`.
 """
 
-from .campaign import run_campaign
 from .faults import (
     FAULT_CLASSES,
     DomainHeal,
@@ -76,5 +74,4 @@ __all__ = [
     "RetryLayer",
     "RetryPolicy",
     "ResilienceReport",
-    "run_campaign",
 ]

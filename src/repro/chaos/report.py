@@ -1,6 +1,6 @@
 """ResilienceReport: what survived a chaos campaign, with JSON export.
 
-The report is the campaign's measurable outcome — the "resilience
+The report is the ``chaos`` scenario's measurable outcome — the "resilience
 trajectory" datapoint written to ``BENCH_chaos.json`` by CI.  All
 fields are plain data and the JSON export sorts keys, so two runs with
 the same seeds produce byte-identical documents (pinned by
@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-__all__ = ["ResilienceReport"]
+__all__ = ["ResilienceReport", "RetryComparison", "resilience_report"]
 
 
 @dataclass
@@ -177,3 +177,82 @@ class ResilienceReport:
                 f"{self.slo['exhausted']} budget(s) exhausted "
                 f"(window {self.slo['window_seconds']:g}s)")
         return "\n".join(lines)
+
+
+@dataclass
+class RetryComparison:
+    """The ``off`` and ``retry`` runs of one fault timeline."""
+
+    reports: Dict[str, ResilienceReport] = field(default_factory=dict)
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {name: report.to_dict()
+                for name, report in self.reports.items()}
+
+    def summary(self) -> str:
+        base, retry = self.reports["off"], self.reports["retry"]
+        return "\n\n".join([
+            base.summary(), retry.summary(),
+            f"retry benefit: placement success "
+            f"{100.0 * base.placement_success_rate:.1f}% -> "
+            f"{100.0 * retry.placement_success_rate:.1f}%, completed "
+            f"{base.instances_completed} -> {retry.instances_completed}"])
+
+
+def resilience_report(run: Any) -> ResilienceReport:
+    """The ResilienceReport of a finished ``chaos`` scenario
+    (:mod:`repro.scenario`): placements, survivors, fault accounting."""
+    p, meta = run.scenario.params, run.meta
+    injector = run.chaos.injector
+    stats = injector.stats()
+    report = ResilienceReport(
+        profile=p["chaos_profile"], chaos_seed=p["chaos_seed"],
+        testbed_seed=p["seed"], scheduler=p["scheduler"],
+        retry_enabled=p["retry"], guardrails_enabled=p["guardrails"],
+        horizon=run.scenario.horizon, waves=p["waves"],
+        per_wave=p["per_wave"],
+        instances_requested=p["waves"] * p["per_wave"])
+    for _user, outcome, _at in run.placements:
+        report.placement_attempts += 1
+        if outcome is None or not outcome.ok:
+            report.placements.append([])
+            continue
+        report.placement_successes += 1
+        report.instances_created += len(outcome.created)
+        hosts = []
+        for mapping in outcome.feedback.reserved_entries:
+            host = meta.resolve(mapping.host_loid)
+            hosts.append(host.machine.name if host is not None
+                         else str(mapping.host_loid))
+        report.placements.append(sorted(hosts))
+    report.instances_completed = sum(h.machine.completed_jobs
+                                     for h in meta.hosts)
+    report.jobs_lost = stats["jobs_lost"]
+    report.work_lost = stats["work_lost"]
+    report.transport_retries = meta.transport.retries
+    report.reservation_retries = meta.enactor.stats.reservation_retries
+    # counted in every mode — the benchmark's comparison metric
+    report.wasted_reservation_attempts = \
+        meta.enactor.stats.wasted_reservation_attempts
+    report.load_shed = meta.enactor.stats.load_shed
+    if meta.guardrails is not None:
+        report.breaker_opens = meta.guardrails.board.total_opens()
+        report.breaker_fast_fails = meta.guardrails.board.total_fast_fails()
+        report.health_transitions = meta.guardrails.monitor.transitions
+        report.admission_rejections = meta.guardrails.admission.rejections
+    report.faults_planned = stats["planned"]
+    report.faults_injected = stats["injected"]
+    report.faults_reverted = stats["reverted"]
+    report.faults_skipped = stats["skipped"]
+    report.fault_errors = stats["errors"]
+    report.forced_repairs = stats["forced_repairs"]
+    report.residual_faults = stats["residual_faults"]
+    report.mttr_mean = stats["mttr_mean"]
+    report.mttr_max = stats["mttr_max"]
+    if meta.sampler is not None:
+        from ..obs.slo import default_legion_slos
+        report.slo = meta.sampler.slo_summary(
+            meta.sampler.evaluate(default_legion_slos()))
+    if p["include_events"]:
+        report.events = [r.to_dict() for r in injector.records]
+    return report

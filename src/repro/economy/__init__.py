@@ -6,9 +6,9 @@ seed.  Hosts publish ask prices discovered by a seeded market daemon
 auctions (:mod:`~repro.economy.auction`), users spend finite budgets
 against deadlines (:mod:`~repro.economy.budget`), and two
 optimization-mode schedulers bid inside the budget/deadline box
-(:mod:`~repro.economy.sched`).  Campaigns and reports
-(:mod:`~repro.economy.campaign`, :mod:`~repro.economy.report`) evaluate
-the economy against the Random/IRS baselines, GridSim-style.
+(:mod:`~repro.economy.sched`).  The ``economy`` scenario
+(:mod:`repro.scenario`) and its report (:mod:`~repro.economy.report`)
+evaluate the economy against the Random/IRS baselines, GridSim-style.
 
 Switch it on with ``meta.install(EconomyLayer(config))``
 (:mod:`~repro.economy.layer`) or ``TestbedSpec(layers=[EconomyLayer()])``;
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from .auction import Ask, AuctionResult, SealedBidAuction
 from .budget import BudgetManager, UserAccount
-from .campaign import run_economy, run_economy_comparison
 from .config import EconomyConfig
 from .layer import EconomyLayer
 from .market import Market
@@ -38,7 +37,5 @@ __all__ = [
     "Market",
     "SealedBidAuction",
     "UserAccount",
-    "run_economy",
-    "run_economy_comparison",
 ]
 

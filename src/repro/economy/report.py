@@ -1,10 +1,10 @@
 """EconomyReport / EconomyComparison: what the economy bought, exportable.
 
-The deliverable of an economy campaign (GridSim-style broker evaluation,
-PAPERS.md): per-user cost and budget state, deadline-miss rate, cost
-overrun, auction efficiency — serialized with sorted keys and rounded
-floats so a committed ``BENCH_economy.json`` is byte-stable across runs
-of the same seeds.
+The deliverable of the ``economy`` scenario (:mod:`repro.scenario`;
+GridSim-style broker evaluation, PAPERS.md): per-user cost and budget
+state, deadline-miss rate, cost overrun, auction efficiency —
+serialized with sorted keys and rounded floats so a committed
+``BENCH_economy.json`` is byte-stable across runs of the same seeds.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-__all__ = ["EconomyReport", "EconomyComparison"]
+__all__ = ["EconomyReport", "EconomyComparison", "economy_report"]
 
 
 def _round(value: float) -> float:
@@ -197,4 +197,71 @@ class EconomyComparison:
                    if self.economy_beats_baselines
                    else "economy does NOT beat all gate baselines")
         lines.append(verdict)
+        if "economy" in self.reports:
+            lines += ["", self.reports["economy"].summary()]
         return "\n".join(lines)
+
+
+def economy_report(run: Any) -> EconomyReport:
+    """The EconomyReport of a finished ``economy`` scenario.
+
+    Deadlines are Nimrod/G's experiment deadline: each user's clock
+    starts at their first submission (the start of the waves), and every
+    one of their instances must complete within ``deadline`` of it —
+    late completions *and* never-created instances both count as misses.
+    """
+    p, meta = run.scenario.params, run.meta
+    suite = meta.economy
+    scheduler, deadline = p["scheduler"], p["deadline"]
+    requested = p["waves"] * p["per_wave"]
+    report = EconomyReport(
+        scheduler=scheduler,
+        mode=p["mode"] if scheduler == "economy" else "n/a",
+        seed=p["seed"], chaos_profile=p["chaos_profile"] or None,
+        chaos_seed=p["chaos_seed"], guardrails_enabled=p["guardrails"],
+        retry_enabled=p["retry"], users=p["users"], budget=p["budget"],
+        deadline=deadline, waves=p["waves"], per_wave=p["per_wave"],
+        work=p["work"], wave_interval=p["wave_interval"],
+        horizon=run.scenario.horizon,
+        instances_requested=p["users"] * requested)
+    per_user: Dict[str, Dict[str, Any]] = {
+        name: {"requested": requested, "created": 0, "met": 0, "missed": 0}
+        for name in run.apps}
+    for name, outcome, _at in run.placements:
+        report.placement_attempts += 1
+        if outcome is None or not outcome.ok:
+            continue
+        report.placement_successes += 1
+        report.instances_created += len(outcome.created)
+        for loid in outcome.created:
+            per_user[name]["created"] += 1
+            instance = run.apps[name].instances.get(loid)
+            completed = (instance.attributes.get("completed_at")
+                         if instance is not None else None)
+            if completed is not None and completed - run.t0 <= deadline:
+                per_user[name]["met"] += 1
+                report.deadline_met += 1
+            if completed is not None:
+                report.instances_completed += 1
+    for name, u in per_user.items():
+        u["missed"] = u["requested"] - u["met"]
+        account = suite.budgets.account(name)
+        u["spent"] = _round(account.spent)
+        u["overrun"] = _round(account.overrun)
+        u["miss_rate"] = _round(u["missed"] / max(1, u["requested"]))
+    report.deadline_missed = report.instances_requested - report.deadline_met
+    report.per_user = per_user
+    report.total_cost = _round(suite.ledger.total)
+    report.user_spend = _round(suite.budgets.total_spent)
+    report.cost_overrun = _round(
+        sum(a.overrun for a in suite.budgets.accounts.values()))
+    report.budget_rejections = suite.budgets.rejections
+    if scheduler == "economy":
+        report.auction = suite.auction.to_dict()
+        report.bid_escalations = sum(s.escalations
+                                     for s in run.schedulers.values())
+    meta.metrics.set_gauge("economy_deadline_miss_rate",
+                           report.deadline_miss_rate,
+                           help="missed / requested for the last campaign",
+                           scheduler=scheduler)
+    return report

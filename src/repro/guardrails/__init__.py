@@ -25,7 +25,7 @@ with/without comparisons see identical fault timelines.
 
 from .admission import AdmissionController
 from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard, CircuitBreaker
-from .compare import MODES, GuardrailsComparison, run_comparison
+from .compare import MODES, GuardrailsComparison
 from .config import GuardrailConfig
 from .health import DOWN, LIVE, SUSPECT, HealthMonitor
 from .layer import GuardrailsLayer
@@ -39,7 +39,6 @@ __all__ = [
     "GuardrailsComparison",
     "HealthMonitor",
     "MODES",
-    "run_comparison",
     "CLOSED", "OPEN", "HALF_OPEN",
     "LIVE", "SUSPECT", "DOWN",
 ]

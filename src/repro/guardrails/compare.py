@@ -1,6 +1,7 @@
 """Three-way guardrails benchmark: off vs. retries-only vs. guardrails+retries.
 
-Runs the *same* seeded chaos campaign three times — identical testbed
+The ``guardrails`` comparison (:data:`repro.scenario.COMPARISONS`) runs
+the *same* seeded ``chaos`` scenario three times — identical testbed
 seed, identical fault timeline — flipping only the resilience layer:
 
 * ``off``        — no retries, no guardrails (the PR 3 baseline)
@@ -23,7 +24,7 @@ from typing import Any, Dict
 
 from ..chaos.report import ResilienceReport
 
-__all__ = ["MODES", "GuardrailsComparison", "run_comparison"]
+__all__ = ["MODES", "GuardrailsComparison"]
 
 #: benchmark modes in escalation order
 MODES = ("off", "retries", "guardrails")
@@ -33,12 +34,21 @@ MODES = ("off", "retries", "guardrails")
 class GuardrailsComparison:
     """Reports for all three modes plus the derived benefit deltas."""
 
-    profile: str = ""
-    chaos_seed: int = 0
-    testbed_seed: int = 0
     reports: Dict[str, ResilienceReport] = field(default_factory=dict)
 
     # -- derived -----------------------------------------------------------
+    @property
+    def profile(self) -> str:
+        return self.reports["off"].profile
+
+    @property
+    def chaos_seed(self) -> int:
+        return self.reports["off"].chaos_seed
+
+    @property
+    def testbed_seed(self) -> int:
+        return self.reports["off"].testbed_seed
+
     def survival(self, mode: str) -> float:
         return self.reports[mode].placement_success_rate
 
@@ -134,31 +144,3 @@ class GuardrailsComparison:
                 f"retries {self.slo_minutes('retries'):g}, "
                 f"guardrails {self.slo_minutes('guardrails'):g}")
         return "\n".join(lines)
-
-
-def run_comparison(profile: str = "hosts",
-                   chaos_seed: int = 0,
-                   seed: int = 0,
-                   include_events: bool = False,
-                   **campaign_kwargs: Any) -> GuardrailsComparison:
-    """Run the off / retries-only / guardrails+retries triple.
-
-    All three campaigns share every seed, so the fault timelines are
-    identical and the comparison measures the policy, not the luck.
-    Extra keyword arguments flow through to
-    :func:`~repro.chaos.campaign.run_campaign`.
-    """
-    from ..chaos.campaign import run_campaign
-
-    flags = {"off": (False, False),
-             "retries": (True, False),
-             "guardrails": (True, True)}
-    comparison = GuardrailsComparison(
-        profile=profile, chaos_seed=chaos_seed, testbed_seed=seed)
-    for mode in MODES:
-        retry, guardrails = flags[mode]
-        comparison.reports[mode] = run_campaign(
-            profile=profile, chaos_seed=chaos_seed, seed=seed,
-            retry=retry, guardrails=guardrails,
-            include_events=include_events, **campaign_kwargs)
-    return comparison

@@ -85,10 +85,13 @@ class HostObject(LegionObject):
         super().__init__(loid)
         self.machine = machine
         self.sim = sim
-        # usually replaced by the Metasystem's shared registry at wiring
-        # time (instruments are looked up per call, so rebinding is safe)
+        # the Metasystem passes its shared registry
         self.metrics = (metrics if metrics is not None
                         else MetricsRegistry(lambda: sim.now))
+        self._starts_ok = self.metrics.bind_counter("host_starts_total",
+                                                    ok="true")
+        self._starts_failed = self.metrics.bind_counter("host_starts_total",
+                                                        ok="false")
         #: span tracer (wired by the Metasystem; inert by default)
         self.spans = NULL_SPANS
         self.policy = policy or AcceptAll()
@@ -284,7 +287,7 @@ class HostObject(LegionObject):
                 placed = self._execute(instance, vault_loid, now)
             except Exception as exc:
                 self.start_failures += 1
-                self.metrics.count("host_starts_total", ok="false")
+                self._starts_failed.inc()
                 reason = f"{type(exc).__name__}: {exc}"
                 sp.set_attribute("ok", False)
                 sp.set_attribute("error", reason)
@@ -298,7 +301,7 @@ class HostObject(LegionObject):
             # while the job runs — the fare is agreed when service starts
             instance.attributes.set("price_at_start", self.price, now=now)
             self.starts += 1
-            self.metrics.count("host_starts_total", ok="true")
+            self._starts_ok.inc()
             sp.set_attribute("ok", True)
             return StartResult(True, loids=[instance.loid])
 

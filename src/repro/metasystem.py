@@ -318,7 +318,6 @@ class Metasystem:
     # hosts
     # ------------------------------------------------------------------
     def _wire_host(self, host: HostObject, push_to_collection: bool) -> None:
-        host.metrics = self.metrics
         host.spans = self.spans
         self._register(host)
         self.hosts.append(host)
@@ -367,7 +366,8 @@ class Metasystem:
                         policy=policy, slots=slots,
                         price_per_cpu_second=price,
                         reassess_interval=self.reassess_interval,
-                        load_trigger_level=load_trigger_level)
+                        load_trigger_level=load_trigger_level,
+                        metrics=self.metrics)
         self._wire_host(host, push_to_collection)
         return host
 
@@ -403,7 +403,8 @@ class Metasystem:
         host = BatchQueueHost(self.minter.mint("host", name), machine,
                               self.sim, queue, policy=policy,
                               max_queue_length=max_queue_length,
-                              reassess_interval=self.reassess_interval)
+                              reassess_interval=self.reassess_interval,
+                              metrics=self.metrics)
         self._wire_host(host, push_to_collection)
         return host
 

@@ -37,7 +37,6 @@ from .gameday import (
     GamedayReport,
     default_gameday_plan,
     run_gameday,
-    run_gameday_comparison,
 )
 from .journal import JournalEntry, RequestJournal
 from .leases import Lease, LeaseTable
@@ -57,5 +56,4 @@ __all__ = [
     "GamedayComparison",
     "default_gameday_plan",
     "run_gameday",
-    "run_gameday_comparison",
 ]

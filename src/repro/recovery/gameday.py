@@ -13,11 +13,12 @@ truth the simulation can count exactly:
 * **MTTR** per fault kind from the injector's applied/reverted records;
 * **SLO burn** from the windowed ``service_*`` series.
 
-:func:`run_gameday` is the engine behind ``legion-sim gameday``;
-:func:`run_gameday_comparison` runs the same seeded game day twice —
-straight through vs. torn down and restored from a mid-run checkpoint —
-and demands the two report cores be **byte-identical**, which is the
-committed ``BENCH_gameday.json`` gate.
+The ``gameday`` scenario (:mod:`repro.scenario`; :func:`run_gameday`
+runs one) is the engine behind ``legion-sim gameday``; its ``restore``
+comparison runs the same seeded game day twice — straight through vs.
+torn down and restored from a mid-run checkpoint — and demands the two
+report cores be **byte-identical**, which is the committed
+``BENCH_gameday.json`` gate.
 
 The chaos timeline is explicit rather than renewal-sampled: worker
 kills land inside the traffic surge (so the victims hold leases), and
@@ -29,16 +30,14 @@ under transport failures.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..sim.kernel import grid_delay
 from .checkpoint import (ServiceCheckpoint, capture_checkpoint,
                          quiescence_blockers, restore_service)
-from .config import RecoveryConfig
 
 __all__ = ["GamedayReport", "GamedayComparison", "default_gameday_plan",
-           "run_gameday", "run_gameday_comparison"]
+           "checkpoint_event", "gameday_report", "run_gameday"]
 
 
 def _round(value: float) -> float:
@@ -149,12 +148,12 @@ class GamedayReport:
 
 
 class GamedayComparison:
-    """Uninterrupted vs. checkpoint/restore, same seed."""
+    """Uninterrupted vs. checkpoint/restore, same seed: the ``straight``
+    and ``restored`` reports."""
 
-    def __init__(self, straight: GamedayReport,
-                 restored: GamedayReport) -> None:
-        self.straight = straight
-        self.restored = restored
+    def __init__(self, reports: Dict[str, GamedayReport]) -> None:
+        self.straight = reports["straight"]
+        self.restored = reports["restored"]
 
     @property
     def byte_identical(self) -> bool:
@@ -218,125 +217,41 @@ def default_gameday_plan(duration: float, workers: int,
     return ChaosPlan(events=events, horizon=duration)
 
 
-def run_gameday(seed: int = 0,
-                users: int = 1_000_000,
-                duration: float = 240.0,
-                workers: int = 4,
-                queue_cap: int = 64,
-                backpressure: str = "shed",
-                scheduler: str = "irs",
-                work: float = 10.0,
-                requests_per_user_hour: float = 0.0036,
-                surge_multiplier: float = 12.0,
-                kills: int = 2,
-                lease_ttl: float = 20.0,
-                heartbeat_interval: float = 5.0,
-                scan_interval: float = 5.0,
-                checkpoint_at: Optional[float] = None,
-                plan: Any = None,
-                n_domains: int = 3,
-                hosts_per_domain: int = 6,
-                platform_mix: int = 3,
-                host_slots: int = 8,
-                background_load: float = 0.3,
-                sampler_window: float = 30.0,
-                drain_time: float = 1800.0,
-                drain_step: float = 5.0) -> GamedayReport:
-    """Run one seeded game day and return its scored report.
+def checkpoint_event(run: Any) -> None:
+    """The game day's scheduled checkpoint: poll (on the worker grid, so
+    the probe adds no off-grid events) for a safe point, then capture a
+    checkpoint, JSON-round-trip it, tear the service tier down and
+    restore it — all inside one virtual instant, after which the run
+    must proceed byte-identically to one that never stopped."""
+    meta = run.meta
+    if quiescence_blockers(meta):
+        meta.sim.schedule(
+            grid_delay(meta.sim.now, meta.service.config.poll_interval),
+            lambda: checkpoint_event(run))
+        return
+    checkpoint = capture_checkpoint(meta)
+    blob = checkpoint.to_json()
+    app = meta.service.app
+    meta.uninstall("service")
+    restore_service(meta, ServiceCheckpoint.from_json(blob), app)
+    run.checkpoint = {
+        "captured_at": _round(checkpoint.captured_at),
+        "journal_entries": len(checkpoint.journal),
+        "bytes": len(blob),
+    }
 
-    ``checkpoint_at`` arms the checkpoint daemon: from that virtual
-    time on it polls (on the worker grid) for a safe point, then
-    captures a checkpoint, JSON-round-trips it, tears the service tier
-    down, and restores — all inside one virtual instant, after which
-    the run must proceed byte-identically to one that never stopped.
-    """
-    from ..workload.testbed import TestbedSpec, build_testbed
-    from ..chaos.layer import ChaosLayer
-    from ..obs.report import SamplerLayer
-    from ..service.config import ServiceConfig
-    from ..service.layer import ServiceLayer
-    from ..service.report import _latency_stats, default_model
+
+def gameday_report(run: Any) -> GamedayReport:
+    """Score a finished ``gameday`` scenario on ground truth.  The
+    worker pool is stopped but the (possibly restored) tier stays
+    installed, so ``meta.service`` still answers afterwards."""
+    from ..service.report import _latency_stats
     from ..service.slos import E2E_THRESHOLD, default_service_slos
-    from ..service.traffic import TrafficGenerator
 
-    meta = build_testbed(TestbedSpec(
-        seed=seed, n_domains=n_domains,
-        hosts_per_domain=hosts_per_domain, platform_mix=platform_mix,
-        host_slots=host_slots, background_load_mean=background_load,
-        layers=[SamplerLayer(sampler_window)] if sampler_window else []))
-    meta.place_collection("dom0")
-    meta.place_enactor("dom0")
-
-    config = ServiceConfig(workers=workers, queue_cap=queue_cap,
-                           backpressure=backpressure,
-                           scheduler=scheduler, work=work)
-    recovery = RecoveryConfig(lease_ttl=lease_ttl,
-                              heartbeat_interval=heartbeat_interval,
-                              scan_interval=scan_interval)
-    app = meta.install(ServiceLayer(config, recovery=recovery)).app
-
-    if plan is None:
-        plan = default_gameday_plan(duration, workers, kills=kills)
-    injector = meta.install(ChaosLayer(plan=plan)).injector
-
-    model = default_model(users, duration,
-                          requests_per_user_hour=requests_per_user_hour,
-                          surge_multiplier=surge_multiplier)
-    # submit through the metasystem, not a captured gateway: after a
-    # checkpoint/restore the suite is a different object, and traffic
-    # must flow into whichever tier is live
-    generator = TrafficGenerator(
-        meta.sim, meta.rngs.stream("service", "traffic"), model,
-        lambda user, priority: meta.service.gateway.submit(
-            user=user, priority=priority),
-        duration)
-    generator.start()
-
-    checkpoint_info: Optional[Dict[str, Any]] = None
-    if checkpoint_at is not None:
-        def try_checkpoint() -> None:
-            nonlocal checkpoint_info
-            if checkpoint_info is not None:
-                return
-            if quiescence_blockers(meta):
-                # not a safe point yet — re-poll on the worker grid so
-                # the probe adds no off-grid events of its own
-                meta.sim.schedule(
-                    grid_delay(meta.sim.now, config.poll_interval),
-                    try_checkpoint)
-                return
-            checkpoint = capture_checkpoint(meta)
-            blob = checkpoint.to_json()
-            meta.uninstall("service")
-            restore_service(meta, ServiceCheckpoint.from_json(blob), app)
-            checkpoint_info = {
-                "captured_at": _round(checkpoint.captured_at),
-                "journal_entries": len(checkpoint.journal),
-                "bytes": len(blob),
-            }
-        meta.sim.schedule_at(float(checkpoint_at), try_checkpoint)
-
-    meta.advance(duration)
-
-    # drain until every admitted request is terminal AND every lease is
-    # settled (an expired lease still owed a requeue counts as pending)
-    drain_start = meta.now
-    stop = drain_start + drain_time
-    while meta.now < stop:
-        live = meta.service
-        if (all(r.terminal for r in live.gateway.requests.values())
-                and not live.leases.active
-                and not live.leases.late_effects):
-            break
-        meta.advance(drain_step)
-    drain_seconds = meta.now - drain_start
-
-    meta.uninstall("chaos")
+    p, meta, injector = run.scenario.params, run.meta, run.chaos.injector
     suite = meta.service  # the restored suite, when a checkpoint ran
     suite.stop()
-
-    # -- ground truth ---------------------------------------------------------
-    gateway = suite.gateway
+    gateway, app = suite.gateway, suite.app
     lost = sum(1 for r in gateway.requests.values() if not r.terminal)
     expected_instances = sum(
         len(r.created) for r in gateway.requests.values()
@@ -353,14 +268,14 @@ def run_gameday(seed: int = 0,
 
     report = GamedayReport()
     report.params = {
-        "seed": seed, "users": model.users, "duration": _round(duration),
-        "workers": workers, "queue_cap": queue_cap,
-        "backpressure": backpressure, "scheduler": scheduler,
-        "work": _round(work), "kills": kills,
-        "recovery": recovery.to_dict(),
-        "plan": plan.counts_by_kind(),
+        "seed": p["seed"], "users": p["users"],
+        "duration": _round(p["duration"]), "workers": p["workers"],
+        "queue_cap": p["queue_cap"], "backpressure": p["backpressure"],
+        "scheduler": p["scheduler"], "work": _round(p["work"]),
+        "kills": p["kills"], "recovery": suite.recovery.to_dict(),
+        "plan": injector.plan.counts_by_kind(),
     }
-    report.traffic = generator.stats()
+    report.traffic = run.traffic.stats()
     report.requests, report.queue, report.pool = suite.report_sections()
     report.recovery = {
         "lost": lost,
@@ -399,25 +314,15 @@ def run_gameday(seed: int = 0,
         "mttr_mean": _round(chaos_stats["mttr_mean"]),
     }
     report.latency = _latency_stats(gateway.requests.values())
-    report.drain_seconds = drain_seconds
-    report.checkpoint = checkpoint_info
-
-    if meta.sampler is not None:
-        report.slo = meta.sampler.slo_summary(meta.sampler.evaluate(
-            default_service_slos(threshold=E2E_THRESHOLD)))
+    report.drain_seconds = run.drain_s
+    report.checkpoint = run.checkpoint
+    report.slo = meta.sampler.slo_summary(meta.sampler.evaluate(
+        default_service_slos(threshold=E2E_THRESHOLD)))
     return report
 
 
-def run_gameday_comparison(checkpoint_at: Optional[float] = None,
-                           duration: float = 240.0,
-                           **kwargs) -> GamedayComparison:
-    """The BENCH_gameday gate: the same seeded game day straight
-    through, then with a mid-run checkpoint/teardown/restore — the two
-    report cores must match byte for byte."""
-    if checkpoint_at is None:
-        checkpoint_at = duration * 0.75
-    kwargs.pop("checkpoint_at", None)
-    straight = run_gameday(duration=duration, checkpoint_at=None, **kwargs)
-    restored = run_gameday(duration=duration,
-                           checkpoint_at=checkpoint_at, **kwargs)
-    return GamedayComparison(straight, restored)
+def run_gameday(**params: Any) -> GamedayReport:
+    """Run one seeded game day (the ``gameday`` scenario of
+    :mod:`repro.scenario`, same parameters) and return its report."""
+    from ..scenario import gameday, run_scenario
+    return run_scenario(gameday(**params))

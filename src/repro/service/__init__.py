@@ -24,9 +24,9 @@ executor — and drives it open-loop:
   seeded diurnal/bursty user populations (Lazarevic & Sacks, PAPERS.md)
   scaling to millions of simulated users at O(arrivals) cost,
 * :mod:`~repro.service.report` — the :class:`ServiceReport` joining
-  per-request end-to-end latency (enqueue→placed, from the span tracer)
-  with the SLO engine's burn-rate verdicts, exported byte-stably; plus
-  ``run_service`` / ``run_service_comparison``, the engines behind
+  per-request end-to-end latency (submit→placed, from the gateway records)
+  with the SLO engine's burn-rate verdicts, exported byte-stably — the
+  outcome of the ``service`` scenario (:mod:`repro.scenario`) behind
   ``legion-sim serve`` and the committed ``BENCH_service.json``.
 
 Everything runs on virtual time with dedicated ``("service", ...)``
@@ -39,12 +39,7 @@ from .config import ServiceConfig
 from .gateway import RequestGateway, ServiceAdmission
 from .layer import ServiceLayer
 from .queue import PlacementQueue
-from .report import (
-    ServiceComparison,
-    ServiceReport,
-    run_service,
-    run_service_comparison,
-)
+from .report import ServiceComparison, ServiceReport
 from .request import (
     CANCELLED,
     DEFERRED,
@@ -75,8 +70,6 @@ __all__ = [
     "RouteResult",
     "ServiceReport",
     "ServiceComparison",
-    "run_service",
-    "run_service_comparison",
     "default_service_slos",
     "QUEUED", "DEFERRED", "PLACING", "PLACED", "FAILED", "SHED",
     "REJECTED", "CANCELLED", "TERMINAL_STATES",

@@ -1,10 +1,10 @@
-"""run_service / run_service_comparison: seeded live-service campaigns.
+"""ServiceReport / ServiceComparison: the ``service`` scenario's outcome.
 
-Mirrors :func:`repro.chaos.campaign.run_campaign` and
-:func:`repro.economy.campaign.run_economy`: build the standard testbed,
-start the service tier, drive it **open-loop** with seeded diurnal/
-bursty traffic (including a deterministic overload surge), drain, and
-aggregate a :class:`ServiceReport` joining
+The ``service`` scenario (:mod:`repro.scenario`) builds the standard
+testbed, starts the service tier, drives it **open-loop** with seeded
+diurnal/bursty traffic (including a deterministic overload surge) and
+drains; :func:`service_report` then aggregates a :class:`ServiceReport`
+joining
 
 * per-request end-to-end latency (submit→placed) from the gateway's
   request records (the same with tracing off), and
@@ -14,30 +14,27 @@ aggregate a :class:`ServiceReport` joining
 — serialized with sorted keys and rounded floats so a committed
 ``BENCH_service.json`` is byte-stable across reruns of the same seed.
 
-:func:`run_service_comparison` replays the identical seeded world twice
-— bounded backlog (shedding on) vs unbounded (shedding off) — and its
-``shedding_protects_slo`` gate is the acceptance criterion of the
-``legion-sim serve --compare-shedding`` subcommand: the overload surge
-must exhaust the e2e latency error budget with shedding off while the
-bounded run keeps p99 inside the SLO threshold.
-
-Imports of the testbed/metasystem layers happen inside the functions to
-keep ``repro.service`` importable without a cycle.
+The ``shedding`` comparison replays the identical seeded world twice —
+bounded backlog (shedding on) vs unbounded (shedding off) — and its
+``shedding_protects_slo`` gate is the acceptance criterion of
+``legion-sim serve --compare``: the overload surge must exhaust the e2e
+latency error budget with shedding off while the bounded run keeps p99
+inside the SLO threshold.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from .slos import E2E_THRESHOLD, default_service_slos
 from .traffic import TrafficModel
 
-__all__ = ["ServiceReport", "ServiceComparison",
-           "run_service", "run_service_comparison"]
+__all__ = ["ServiceReport", "ServiceComparison", "default_model",
+           "service_report"]
 
 
 def _round(value: float) -> float:
@@ -224,6 +221,8 @@ class ServiceComparison:
         lines.append("shedding protects the e2e latency SLO"
                      if self.shedding_protects_slo else
                      "shedding does NOT protect the e2e latency SLO")
+        if "shedding" in self.reports:
+            lines += ["", self.reports["shedding"].summary()]
         return "\n".join(lines)
 
 
@@ -263,113 +262,28 @@ def default_model(users: int, duration: float,
         surge_multiplier=surge_multiplier)
 
 
-def run_service(seed: int = 0,
-                users: int = 1_000_000,
-                duration: float = 240.0,
-                workers: int = 4,
-                queue_cap: int = 64,
-                backpressure: str = "shed",
-                scheduler: str = "irs",
-                work: float = 10.0,
-                requests_per_user_hour: float = 0.0036,
-                surge_multiplier: float = 12.0,
-                model: Optional[TrafficModel] = None,
-                slo_threshold: float = E2E_THRESHOLD,
-                n_domains: int = 3,
-                hosts_per_domain: int = 6,
-                platform_mix: int = 3,
-                host_slots: int = 8,
-                background_load: float = 0.3,
-                sampler_window: float = 30.0,
-                drain_time: float = 1800.0,
-                drain_step: float = 5.0,
-                meta: Any = None) -> ServiceReport:
-    """Run one seeded open-loop service campaign and return its report.
-
-    ``queue_cap=0`` disables the bounded backlog (shedding off) — the
-    overload baseline.  Pass a prebuilt ``meta`` to reuse a custom
-    testbed (it must not have a service installed yet)."""
-    from ..obs.report import SamplerLayer
-    from ..workload.testbed import TestbedSpec, build_testbed
-    from .config import ServiceConfig
-    from .layer import ServiceLayer
-
-    if meta is None:
-        meta = build_testbed(TestbedSpec(
-            seed=seed, n_domains=n_domains,
-            hosts_per_domain=hosts_per_domain,
-            platform_mix=platform_mix,
-            host_slots=host_slots,
-            background_load_mean=background_load))
-        meta.place_collection("dom0")
-        meta.place_enactor("dom0")
-    if sampler_window and meta.sampler is None:
-        meta.install(SamplerLayer(sampler_window))
-
-    config = ServiceConfig(workers=workers, queue_cap=queue_cap,
-                           backpressure=backpressure,
-                           scheduler=scheduler, work=work)
-    suite = meta.install(ServiceLayer(config))
-    if model is None:
-        model = default_model(users, duration,
-                              requests_per_user_hour=requests_per_user_hour,
-                              surge_multiplier=surge_multiplier)
-
-    from .traffic import TrafficGenerator
-    generator = TrafficGenerator(
-        meta.sim, meta.rngs.stream("service", "traffic"), model,
-        lambda user, priority: suite.gateway.submit(user=user,
-                                                    priority=priority),
-        duration)
-    generator.start()
-    meta.advance(duration)
-
-    # drain: advance until every admitted request reaches a terminal
-    # state (the no-shedding overload baseline may not make it before
-    # the drain budget runs out — those requests count as ``pending``)
-    drain_start = meta.now
-    stop = drain_start + drain_time
-    gateway = suite.gateway
-    while meta.now < stop:
-        if all(r.terminal for r in gateway.requests.values()):
-            break
-        meta.advance(drain_step)
-    drain_seconds = meta.now - drain_start
+def service_report(run: Any) -> ServiceReport:
+    """The ServiceReport of a finished ``service`` scenario: the worker
+    pool is stopped (the tier stays installed, so ``meta.service`` keeps
+    answering), then gateway records and SLO verdicts are joined."""
+    p, meta = run.scenario.params, run.meta
+    suite = meta.service
     suite.stop()
-
     report = ServiceReport(
-        scheduler=scheduler, seed=seed, users=model.users,
-        duration=duration, workers=workers, queue_cap=queue_cap,
-        backpressure=backpressure, work=work,
-        slo_threshold=slo_threshold)
-    report.traffic = generator.stats()
+        scheduler=p["scheduler"], seed=p["seed"], users=p["users"],
+        duration=p["duration"], workers=p["workers"],
+        queue_cap=p["queue_cap"], backpressure=p["backpressure"],
+        work=p["work"], slo_threshold=p["slo_threshold"])
+    report.traffic = run.traffic.stats()
     report.requests, report.queue, report.pool = suite.report_sections()
-    report.latency = _latency_stats(gateway.requests.values())
-    report.pending = sum(1 for r in gateway.requests.values()
-                         if not r.terminal)
-    report.drain_seconds = drain_seconds
-
-    if meta.sampler is not None:
-        results = meta.sampler.evaluate(
-            default_service_slos(threshold=slo_threshold))
-        report.slo = meta.sampler.slo_summary(results)
-        report.slo["latency_exhausted"] = any(
-            r.exhausted for r in results
-            if r.spec.name == "service-e2e-latency")
+    requests = suite.gateway.requests.values()
+    report.latency = _latency_stats(requests)
+    # the no-shedding overload may not drain before the budget runs out
+    report.pending = sum(1 for r in requests if not r.terminal)
+    report.drain_seconds = run.drain_s
+    results = meta.sampler.evaluate(
+        default_service_slos(threshold=p["slo_threshold"]))
+    report.slo = meta.sampler.slo_summary(results)
+    report.slo["latency_exhausted"] = any(
+        r.exhausted for r in results if r.spec.name == "service-e2e-latency")
     return report
-
-
-def run_service_comparison(queue_cap: int = 64, **kwargs
-                           ) -> ServiceComparison:
-    """Replay the identical seeded overload twice — bounded backlog vs
-    unbounded — for the shedding-protects-SLO verdict; the report dict
-    feeds ``BENCH_service.json``."""
-    if queue_cap <= 0:
-        raise ValueError("comparison needs a bounded queue_cap for the "
-                         "shedding variant")
-    kwargs.pop("meta", None)  # each variant builds its own seeded world
-    comparison = ServiceComparison()
-    comparison.reports["shedding"] = run_service(queue_cap=queue_cap,
-                                                 **kwargs)
-    comparison.reports["no-shedding"] = run_service(queue_cap=0, **kwargs)
-    return comparison

@@ -17,46 +17,53 @@ module provides their simulated analogues over a reproducible testbed:
    $ legion-sim run --shards 3 --replication 2 --count 4
    $ legion-sim federation --shards 3 --gossip-interval 30 --wait
    $ legion-sim run --chaos-profile hosts --chaos-seed 7 --wait
-   $ legion-sim chaos --profile lossy --compare-retry
-   $ legion-sim chaos --profile mixed --retry --out report.json
-   $ legion-sim chaos --profile hosts --retry --guardrails
+   $ legion-sim chaos --chaos-profile lossy --compare
+   $ legion-sim chaos --chaos-profile mixed --retry --out report.json
+   $ legion-sim chaos --chaos-profile hosts --retry --guardrails
    $ legion-sim guardrails --compare --out comparison.json
    $ legion-sim scale --sizes 16,32
    $ legion-sim metrics --quantiles p50,p90,p99
    $ legion-sim trace steps --count 6
    $ legion-sim slo --window 30 --chaos-profile hosts --chaos-seed 1
    $ legion-sim slo --guardrails --chaos-profile hosts --out slo.json
-   $ legion-sim slo --compare-guardrails --chaos-profile hosts
+   $ legion-sim slo --compare --chaos-profile hosts
    $ legion-sim run --count 4 --scheduler cost
    $ legion-sim economy --mode cost --users 3 --budget 100
    $ legion-sim economy --mode time --chaos-profile lossy --retry
-   $ legion-sim economy --compare-baselines --out comparison.json
+   $ legion-sim economy --compare --out comparison.json
    $ legion-sim serve --users 1000000 --duration 240 --workers 4
    $ legion-sim serve --queue-cap 0 --allow-exhausted
-   $ legion-sim serve --compare-shedding --out comparison.json
+   $ legion-sim serve --compare --out comparison.json
    $ legion-sim gameday --seed 7 --kills 2
    $ legion-sim gameday --checkpoint-at 180 --lease-ttl 20
-   $ legion-sim gameday --compare-restore --out comparison.json
+   $ legion-sim gameday --compare --out comparison.json
    $ legion-sim ledger check
    $ legion-sim ledger write service gameday
 
 ``repro-cli`` is an alias of the same entry point.
 
 Every invocation builds the same seeded testbed (``--seed``), so outputs
-are reproducible and scriptable.
+are reproducible and scriptable.  The campaign subcommands (chaos,
+guardrails, slo, economy, serve, gameday) share one handler over
+:mod:`repro.scenario`: their flags are named after the scenario's
+parameters, and ``--compare`` runs the subcommand's comparison instead
+of one scenario.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from ..bench.harness import ExperimentTable
 from ..bench import ledger
 from ..chaos.layer import ChaosLayer
 from ..errors import LegionError
 from ..metasystem import Metasystem
+from ..scenario import COMPARISONS, SCENARIOS, campaign
 from ..scheduler.base import ObjectClassRequest
 from ..service.config import BACKPRESSURE_MODES
 from ..workload.applications import wait_for_completion
@@ -74,10 +81,10 @@ def _build_meta(args: argparse.Namespace) -> Metasystem:
     chaos = ChaosLayer(profile=profile, chaos_seed=args.chaos_seed,
                        horizon=args.chaos_horizon or None) if profile else None
     return build_testbed(TestbedSpec(
-        n_domains=args.domains,
-        hosts_per_domain=args.hosts,
-        platform_mix=args.platforms,
-        background_load_mean=args.load,
+        n_domains=args.n_domains,
+        hosts_per_domain=args.hosts_per_domain,
+        platform_mix=args.platform_mix,
+        background_load_mean=args.background_load,
         seed=args.seed,
         federation_shards=args.shards,
         federation_replication=args.replication,
@@ -104,26 +111,6 @@ def _build_workload(args: argparse.Namespace, out, kind: str = ""):
     return meta, app, scheduler
 
 
-def _campaign_kwargs(args: argparse.Namespace, **extra) -> dict:
-    """Testbed-shape and wave kwargs shared by every campaign-style
-    subcommand (chaos / guardrails / slo / economy / serve), so each
-    runner call starts from one dict instead of re-assembling the same
-    spec by hand.  Wave knobs are included only when the subcommand
-    defines them; ``extra`` layers on the subcommand-specific ones."""
-    kwargs = dict(seed=args.seed,
-                  n_domains=args.domains,
-                  hosts_per_domain=args.hosts,
-                  platform_mix=args.platforms,
-                  background_load=args.load)
-    for arg_name, key in (("waves", "waves"), ("count", "per_wave"),
-                          ("work", "work"),
-                          ("wave_interval", "wave_interval")):
-        if hasattr(args, arg_name):
-            kwargs[key] = getattr(args, arg_name)
-    kwargs.update(extra)
-    return kwargs
-
-
 def _write_out(path: str, doc: dict, what: str, out) -> None:
     """Write ``--out`` (when given) in the ledger byte form."""
     if path:
@@ -131,29 +118,173 @@ def _write_out(path: str, doc: dict, what: str, out) -> None:
         print(f"wrote {what} to {path}", file=out)
 
 
-def _add_testbed_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--domains", type=int, default=2,
-                        help="administrative domains (default 2)")
-    parser.add_argument("--hosts", type=int, default=4,
-                        help="hosts per domain (default 4)")
-    parser.add_argument("--platforms", type=int, default=2,
-                        help="distinct platforms in the mix (default 2)")
-    parser.add_argument("--load", type=float, default=0.5,
-                        help="mean background load (default 0.5)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="experiment seed (default 0)")
-    parser.add_argument("--shards", type=int, default=0,
-                        help="federate the Collection into N shards "
-                             "(default 0 = one monolithic Collection)")
-    parser.add_argument("--replication", type=int, default=2,
-                        help="replicas per record when federated "
-                             "(default 2)")
-    parser.add_argument("--gossip-interval", type=float, default=0.0,
-                        help="anti-entropy sweep period in virtual "
-                             "seconds (default 0 = gossip off)")
-    parser.add_argument("--cache-ttl", type=float, default=0.0,
-                        help="federation query-cache TTL in virtual "
-                             "seconds (default 0 = cache off)")
+# -- flag groups, declared once; dests are scenario parameter names ----------
+SCHEDULERS = ("random | irs | load | mct | round-robin | kofn | cost | "
+              "economy")
+
+
+def _testbed_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--domains", dest="n_domains", type=int, default=2,
+                   help="administrative domains (default 2)")
+    p.add_argument("--hosts", dest="hosts_per_domain", type=int, default=4,
+                   help="hosts per domain (default 4)")
+    p.add_argument("--platforms", dest="platform_mix", type=int, default=2,
+                   help="distinct platforms in the mix (default 2)")
+    p.add_argument("--load", dest="background_load", type=float,
+                   default=0.5, help="mean background load (default 0.5)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="experiment seed (default 0)")
+    p.add_argument("--shards", type=int, default=0,
+                   help="federate the Collection into N shards "
+                        "(default 0 = one monolithic Collection)")
+    p.add_argument("--replication", type=int, default=2,
+                   help="replicas per record when federated (default 2)")
+    p.add_argument("--gossip-interval", type=float, default=0.0,
+                   help="anti-entropy sweep period in virtual seconds "
+                        "(default 0 = gossip off)")
+    p.add_argument("--cache-ttl", type=float, default=0.0,
+                   help="federation query-cache TTL in virtual seconds "
+                        "(default 0 = cache off)")
+
+
+def _workload_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--count", type=int, default=4)
+    p.add_argument("--work", type=float, default=200.0)
+    p.add_argument("--scheduler", default="irs", help=SCHEDULERS)
+    p.add_argument("--wait", action="store_true",
+                   help="advance virtual time until completion")
+
+
+def _wave_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--waves", type=int, default=6,
+                   help="placement waves to attempt (default 6)")
+    p.add_argument("--count", dest="per_wave", type=int, default=4,
+                   help="instances requested per wave (default 4)")
+    p.add_argument("--work", type=float, default=250.0,
+                   help="work units per instance (default 250)")
+    p.add_argument("--wave-interval", type=float, default=90.0,
+                   help="virtual seconds between waves (default 90)")
+    p.add_argument("--scheduler", default="irs", help=SCHEDULERS)
+
+
+def _chaos_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--chaos-profile", default="",
+                   help="arm a fault-injection campaign (light | hosts | "
+                        "partitions | lossy | mixed | heavy)")
+    p.add_argument("--chaos-seed", type=int, default=0,
+                   help="campaign seed (independent of --seed)")
+    p.add_argument("--chaos-horizon", type=float, default=0.0,
+                   help="stop injecting after this much virtual time "
+                        "(default: the scenario's)")
+
+
+def _layer_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--retry", action="store_true",
+                   help="enable the RetryPolicy resilience layer")
+    p.add_argument("--guardrails", action="store_true",
+                   help="enable the guardrails self-healing layer")
+
+
+def _traffic_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--users", type=int, default=1_000_000,
+                   help="traffic population size; arrival cost is "
+                        "O(requests), not O(users) (default 1000000)")
+    p.add_argument("--duration", type=float, default=240.0,
+                   help="open-loop traffic window in virtual seconds "
+                        "(default 240)")
+    p.add_argument("--workers", type=int, default=4,
+                   help="worker daemons draining the placement queue "
+                        "(default 4)")
+    p.add_argument("--queue-cap", type=int, default=64,
+                   help="bounded backlog size; 0 = unbounded, i.e. "
+                        "shedding off (default 64)")
+    p.add_argument("--backpressure", choices=BACKPRESSURE_MODES,
+                   default="shed",
+                   help="what a full backlog does to a new submit "
+                        "(default shed)")
+    p.add_argument("--scheduler", default="irs", help=SCHEDULERS)
+    p.add_argument("--work", type=float, default=10.0,
+                   help="work units per placed service instance "
+                        "(default 10)")
+    p.add_argument("--rate", dest="requests_per_user_hour", type=float,
+                   default=0.0036,
+                   help="requests per user per hour (default 0.0036 — "
+                        "1 req/s at a million users)")
+    p.add_argument("--surge", dest="surge_multiplier", type=float,
+                   default=12.0,
+                   help="overload surge rate multiplier through the "
+                        "middle fifth of the run (default 12)")
+    p.add_argument("--host-slots", type=int, default=8,
+                   help="reservation slots per host (default 8)")
+
+
+def _events_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--events", dest="include_events", action="store_true",
+                   help="include per-fault event logs in --out JSON")
+
+
+def _allow_exhausted_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--allow-exhausted", action="store_true",
+                   help="exit 0 even when an error budget is exhausted")
+
+
+def _slo_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--window", dest="sampler_window", type=float,
+                   default=30.0,
+                   help="sampling window in virtual seconds (default 30)")
+    p.add_argument("--spec", dest="specs", default="", metavar="FILE",
+                   help="JSON file of SLO objectives ({\"slos\": [...]}; "
+                        "default: the stock Legion objectives)")
+    p.add_argument("--format", choices=("table", "json"), default="table",
+                   help="output format (default table)")
+    p.add_argument("--no-windows", dest="include_windows",
+                   action="store_false",
+                   help="omit per-window verdict rows from the report")
+    _allow_exhausted_flag(p)
+
+
+def _economy_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", choices=("time", "cost"), default="cost",
+                   help="economy optimization mode: minimize completion "
+                        "time within budget, or cost within deadline "
+                        "(default cost)")
+    p.add_argument("--users", type=int, default=2,
+                   help="concurrent users, each with their own budget, "
+                        "deadline, and application class (default 2)")
+    p.add_argument("--budget", type=float, default=40.0,
+                   help="per-user budget in currency units (default 40)")
+    p.add_argument("--deadline", type=float, default=900.0,
+                   help="per-user experiment deadline in virtual seconds "
+                        "from first submission (default 900)")
+    p.add_argument("--deadline-safety", type=float, default=0.6,
+                   help="fraction of the remaining deadline a host's "
+                        "estimated completion must fit within "
+                        "(default 0.6)")
+
+
+def _serve_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--slo-threshold", type=float, default=30.0,
+                   help="e2e latency SLO threshold in virtual seconds "
+                        "(default 30)")
+    _allow_exhausted_flag(p)
+
+
+def _gameday_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kills", type=int, default=2,
+                   help="worker crashes injected inside the surge "
+                        "(default 2; the pass gate requires >= 2)")
+    p.add_argument("--lease-ttl", type=float, default=20.0,
+                   help="request-ownership lease TTL in virtual seconds "
+                        "(default 20)")
+    p.add_argument("--heartbeat-interval", type=float, default=5.0,
+                   help="worker lease-renewal period (default 5)")
+    p.add_argument("--scan-interval", type=float, default=5.0,
+                   help="Supervisor expired-lease scan period (default 5)")
+    p.add_argument("--checkpoint-at", type=float, default=0.0,
+                   help="from this virtual time on, poll for a safe point, "
+                        "then checkpoint/teardown/restore the tier mid-run "
+                        "(default 0 = off; with --compare, 0.75 x "
+                        "duration)")
 
 
 def cmd_hosts(args: argparse.Namespace, out) -> int:
@@ -429,149 +560,179 @@ def cmd_federation(args: argparse.Namespace, out) -> int:
     return 0 if outcome.ok else 1
 
 
-def cmd_chaos(args: argparse.Namespace, out) -> int:
-    """Run a seeded fault-injection campaign and report resilience."""
-    from ..chaos.campaign import run_campaign
-    kwargs = _campaign_kwargs(
-        args, profile=args.profile, chaos_seed=args.chaos_seed,
-        scheduler=args.scheduler, horizon=args.horizon or None,
-        shards=args.shards, guardrails=args.guardrails)
-    try:
-        if args.compare_retry:
-            reports = [run_campaign(retry=False, **kwargs),
-                       run_campaign(retry=True, **kwargs)]
-        else:
-            reports = [run_campaign(retry=args.retry, **kwargs)]
-    except LegionError as exc:
-        print(f"chaos error: {exc}", file=out)
-        return 2
-    for i, report in enumerate(reports):
-        if i:
-            print(file=out)
-        print(report.summary(), file=out)
-    if args.compare_retry:
-        base, with_retry = reports
-        print(file=out)
-        print(f"retry benefit: placement success "
-              f"{100.0 * base.placement_success_rate:.1f}% -> "
-              f"{100.0 * with_retry.placement_success_rate:.1f}%, "
-              f"completed {base.instances_completed} -> "
-              f"{with_retry.instances_completed}", file=out)
-    _write_out(args.out, reports[-1].to_dict(), "ResilienceReport", out)
-    if not all(ledger.no_residual_faults(r.to_dict()) for r in reports):
-        residual = max(len(r.residual_faults) for r in reports)
-        print(f"ERROR: {residual} residual fault(s) survived teardown",
-              file=out)
-        return 1
-    return 0
+# -- the campaign subcommands: one handler over repro.scenario ---------------
+def _residual_faults(result: Any, args: argparse.Namespace) -> List[str]:
+    reports = result.reports.values() if args.compare else [result]
+    worst = max(len(report.residual_faults) for report in reports)
+    return [f"{worst} residual fault(s) survived teardown"] if worst else []
 
 
-def cmd_guardrails(args: argparse.Namespace, out) -> int:
-    """Benchmark the guardrails layer against retries-only and baseline.
-
-    With ``--compare`` (the headline mode) the identical seeded campaign
-    runs three times — guardrails+retries, retries-only, and bare — and
-    the exit status is nonzero if guardrails *regressed* survival (the
-    ``guardrails`` ledger's ``survival_not_regressed`` gate).
-    """
-    from ..guardrails.compare import run_comparison
-    try:
-        cmp = run_comparison(**_campaign_kwargs(
-            args, profile=args.profile, chaos_seed=args.chaos_seed,
-            scheduler=args.scheduler, horizon=args.horizon or None,
-            shards=args.shards, include_events=args.events))
-    except LegionError as exc:
-        print(f"guardrails error: {exc}", file=out)
-        return 2
-    print(cmp.summary(), file=out)
+def _guardrails_problems(result: Any, args: argparse.Namespace) -> List[str]:
     if not args.compare:
-        print(file=out)
-        print(cmp.reports["guardrails"].summary(), file=out)
-    doc = cmp.to_dict()
-    _write_out(args.out, doc, "guardrails comparison", out)
-    if not ledger.survival_not_regressed(doc):
-        print(f"ERROR: guardrails regressed survival by "
-              f"{-100.0 * cmp.survival_delta:.1f} percentage points",
-              file=out)
-        return 1
-    return 0
+        return _residual_faults(result, args)
+    if ledger.survival_not_regressed(result.to_dict()):
+        return []
+    return [f"guardrails regressed survival by "
+            f"{-100.0 * result.survival_delta:.1f} percentage points"]
 
 
-def cmd_slo(args: argparse.Namespace, out) -> int:
-    """Run a seeded workload under windowed sampling and report SLO
-    health: error budgets, burn-rate alerts, breached-window exemplar
-    traces, and the critical-path steps behind them.
+def _slo_problems(result: Any, args: argparse.Namespace) -> List[str]:
+    if args.allow_exhausted:
+        return []
+    if args.compare:
+        doc = result.to_dict()
+        if ledger.guardrails_budgets_intact(doc):
+            return []
+        return [f"{doc['modes']['guardrails']['slo']['exhausted']} error "
+                f"budget(s) exhausted with guardrails on"]
+    if ledger.budgets_intact(result):
+        return []
+    return [f"error budget exhausted ({result['minutes_lost']:g} SLO "
+            f"minutes lost)"]
 
-    The exit status is nonzero when any error budget is exhausted
-    (suppress with ``--allow-exhausted``) — the ``slo`` ledger's
-    ``healthy`` and ``guardrails_budgets_intact`` gates.
-    """
-    import json
 
-    from ..obs.report import (
-        health_report_to_json,
-        render_health_report,
-        run_slo_campaign,
-    )
-    from ..obs.slo import specs_from_dict
+def _economy_problems(result: Any, args: argparse.Namespace) -> List[str]:
+    if not args.compare:
+        return []
+    doc = result.to_dict()
+    if ledger.economy_beats_baselines(doc):
+        return []
+    losses = [base for base, won in doc["gate"].items() if not won]
+    return [f"economy does not beat {', '.join(losses)} on both "
+            f"deadline-miss rate and total cost"]
 
-    if args.window <= 0:
-        print(f"bad --window {args.window:g}: must be > 0", file=out)
-        return 2
-    specs = None
-    if args.spec:
-        try:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                specs = specs_from_dict(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"bad --spec {args.spec!r}: {exc}", file=out)
-            return 2
 
-    if args.compare_guardrails:
-        from ..guardrails.compare import run_comparison
-        try:
-            cmp = run_comparison(**_campaign_kwargs(
-                args, profile=args.chaos_profile or "hosts",
-                chaos_seed=args.chaos_seed, scheduler=args.scheduler,
-                shards=args.shards, sampler_window=args.window))
-        except LegionError as exc:
-            print(f"slo error: {exc}", file=out)
-            return 2
-        print(cmp.summary(), file=out)
-        doc = cmp.to_dict()
-        _write_out(args.out, doc, "guardrails SLO comparison", out)
-        if not (ledger.guardrails_budgets_intact(doc)
-                or args.allow_exhausted):
-            exhausted = doc["modes"]["guardrails"]["slo"]["exhausted"]
-            print(f"ERROR: {exhausted} error budget(s) exhausted with "
-                  f"guardrails on", file=out)
-            return 1
-        return 0
+def _serve_problems(result: Any, args: argparse.Namespace) -> List[str]:
+    if args.compare:
+        if ledger.shedding_protects_slo(result.to_dict()):
+            return []
+        return ["shedding does not protect the e2e latency SLO under this "
+                "overload"]
+    if result.latency_budget_exhausted and not args.allow_exhausted:
+        return ["e2e latency error budget exhausted"]
+    return []
 
-    try:
-        report = run_slo_campaign(**_campaign_kwargs(
-            args, scheduler=args.scheduler, window=args.window,
-            chaos_profile=args.chaos_profile, chaos_seed=args.chaos_seed,
-            chaos_horizon=args.chaos_horizon, guardrails=args.guardrails,
-            retry=args.retry, specs=specs,
-            include_windows=not args.no_windows,
-            federation_shards=args.shards,
-            federation_replication=args.replication,
-            gossip_interval=args.gossip_interval,
-            federation_cache_ttl=args.cache_ttl))
-    except (LegionError, ValueError) as exc:
-        print(f"slo error: {exc}", file=out)
-        return 2
+
+def _gameday_problems(result: Any, args: argparse.Namespace) -> List[str]:
+    if args.compare:
+        return [f"gameday gate {gate} failed"
+                for gate in ledger.LEDGERS["gameday"].failed(
+                    result.to_dict())]
+    return [] if result.passed else ["game-day verdict failed"]
+
+
+def _show_slo(result: Any, args: argparse.Namespace) -> str:
+    from ..obs.report import health_report_to_json, render_health_report
+    if args.compare:
+        return result.summary()
     if args.format == "json":
-        print(health_report_to_json(report), file=out)
-    else:
-        print(render_health_report(report), file=out)
-    _write_out(args.out, report, "SLO health report", out)
-    if not ledger.budgets_intact(report) and not args.allow_exhausted:
-        print("ERROR: error budget exhausted "
-              f"({report['minutes_lost']:g} SLO minutes lost)", file=out)
-        return 1
-    return 0
+        return health_report_to_json(result)
+    return render_health_report(result)
+
+
+@dataclass(frozen=True)
+class CampaignCommand:
+    """A campaign subcommand: the scenario it runs, the comparison
+    ``--compare`` runs instead, its flag groups and defaults, and the
+    gates its exit status checks."""
+
+    scenario: str
+    comparison: str
+    help: str
+    compare_help: str
+    flags: Tuple[Callable[[argparse.ArgumentParser], None], ...]
+    problems: Callable[[Any, argparse.Namespace], List[str]]
+    defaults: Mapping[str, Any] = field(default_factory=dict)
+    show: Callable[[Any, argparse.Namespace], str] = \
+        lambda result, _args: result.summary()
+
+
+TRAFFIC_WORLD = dict(n_domains=3, hosts_per_domain=6, platform_mix=3,
+                     background_load=0.3)
+
+#: campaign subcommand -> what it runs
+CAMPAIGNS = {
+    "chaos": CampaignCommand(
+        "chaos", "retry",
+        "run a seeded fault-injection campaign and report survival",
+        "run the identical campaign retry-off and retry-on",
+        (_testbed_flags, _wave_flags, _chaos_flags, _layer_flags),
+        _residual_faults,
+        dict(chaos_profile="mixed")),
+    "guardrails": CampaignCommand(
+        "chaos", "guardrails",
+        "a chaos campaign with guardrails and retries on (default "
+        "profile hosts, chaos seed 1)",
+        "run it off / retries-only / guardrails+retries; exit nonzero if "
+        "guardrails regress survival",
+        (_testbed_flags, _wave_flags, _chaos_flags, _events_flag),
+        _guardrails_problems,
+        dict(chaos_profile="hosts", chaos_seed=1, retry=True,
+             guardrails=True)),
+    "slo": CampaignCommand(
+        "slo", "guardrails",
+        "run placement waves under windowed sampling and report SLO "
+        "health: error budgets, burn-rate alerts, exemplar traces",
+        "run the identical chaos campaign off / retries / guardrails and "
+        "compare SLO minutes lost (needs --chaos-profile)",
+        (_testbed_flags, _wave_flags, _chaos_flags, _layer_flags,
+         _slo_flags),
+        _slo_problems, dict(include_events=False), _show_slo),
+    "economy": CampaignCommand(
+        "economy", "baselines",
+        "run a computational-economy campaign: budgets, deadlines, market "
+        "pricing, and reservation auctions",
+        "replay it under the economy and the random/irs/cost baselines; "
+        "exit nonzero unless the economy beats random and irs on both "
+        "deadline-miss rate and total cost",
+        (_testbed_flags, _wave_flags, _chaos_flags, _layer_flags,
+         _economy_flags),
+        _economy_problems, dict(scheduler="economy", per_wave=2)),
+    "serve": CampaignCommand(
+        "service", "shedding",
+        "run the live service tier under seeded open-loop traffic: "
+        "gateway, bounded placement queue, workers, SLO verdicts",
+        "run the identical overload with the bounded backlog on then off; "
+        "exit nonzero unless shedding keeps p99 inside the SLO while the "
+        "unbounded run exhausts its error budget",
+        (_testbed_flags, _traffic_flags, _serve_flags), _serve_problems,
+        TRAFFIC_WORLD),
+    "gameday": CampaignCommand(
+        "gameday", "restore",
+        "run a recovery game day: chaos kills workers under live traffic; "
+        "gates on zero lost requests and zero duplicate placements",
+        "run it straight through and with a mid-run checkpoint/restore; "
+        "exit nonzero unless both pass and their report cores are "
+        "byte-identical",
+        (_testbed_flags, _traffic_flags, _gameday_flags),
+        _gameday_problems, TRAFFIC_WORLD),
+}
+
+
+def cmd_campaign(args: argparse.Namespace, out) -> int:
+    """Run the subcommand's scenario (or, with ``--compare``, its
+    comparison) with the flags its parameters name, print it, write
+    ``--out``, and exit 1 if a gate failed (2 on a usage error)."""
+    entry = CAMPAIGNS[args.command]
+    comparison = entry.comparison if args.compare else ""
+    scenario = COMPARISONS[comparison].scenario if comparison \
+        else entry.scenario
+    wanted = inspect.signature(SCENARIOS[scenario]).parameters
+    params = {k: v for k, v in vars(args).items() if k in wanted}
+    try:
+        result = campaign(scenario, comparison, **params)
+    except (LegionError, ValueError) as exc:
+        print(f"{args.command} error: {exc}", file=out)
+        return 2
+    print(entry.show(result, args), file=out)
+    _write_out(args.out, result if isinstance(result, dict)
+               else result.to_dict(),
+               f"{args.command} {'comparison' if comparison else 'report'}",
+               out)
+    problems = entry.problems(result, args)
+    for problem in problems:
+        print(f"ERROR: {problem}", file=out)
+    return 1 if problems else 0
 
 
 def cmd_scale(args: argparse.Namespace, out) -> int:
@@ -597,140 +758,6 @@ def cmd_scale(args: argparse.Namespace, out) -> int:
     scale_bench.engine_table(report["query_engines"]).print(out)
     _write_out(args.out, report, "scale ledger", out)
     return 0
-
-
-def cmd_economy(args: argparse.Namespace, out) -> int:
-    """Run a seeded computational-economy campaign: per-user budgets and
-    deadlines, market ask pricing, and reservation auctions.
-
-    With ``--compare-baselines`` (the headline mode) the identical seeded
-    world is replayed under the economy scheduler and each baseline; the
-    exit status is nonzero unless the economy beats Random *and* IRS on
-    both deadline-miss rate and total metered cost — the ``economy``
-    ledger's ``economy_beats_baselines`` gate.
-    """
-    from ..economy.campaign import run_economy, run_economy_comparison
-    kwargs = _campaign_kwargs(
-        args, mode=args.mode, chaos_profile=args.chaos_profile or None,
-        chaos_seed=args.chaos_seed, guardrails=args.guardrails,
-        retry=args.retry, users=args.users, budget=args.budget,
-        deadline=args.deadline, deadline_safety=args.deadline_safety)
-    try:
-        if args.compare_baselines:
-            cmp = run_economy_comparison(**kwargs)
-            print(cmp.summary(), file=out)
-            print(file=out)
-            print(cmp.reports["economy"].summary(), file=out)
-            doc = cmp.to_dict()
-            _write_out(args.out, doc, "economy comparison", out)
-            if not ledger.economy_beats_baselines(doc):
-                losses = [b for b, won in doc["gate"].items() if not won]
-                print(f"ERROR: economy does not beat "
-                      f"{', '.join(losses)} on both deadline-miss rate "
-                      f"and total cost", file=out)
-                return 1
-            return 0
-        report = run_economy(scheduler=args.scheduler, **kwargs)
-        print(report.summary(), file=out)
-        _write_out(args.out, report.to_dict(), "EconomyReport", out)
-        return 0
-    except (LegionError, ValueError) as exc:
-        print(f"economy error: {exc}", file=out)
-        return 2
-
-
-def cmd_serve(args: argparse.Namespace, out) -> int:
-    """Run the live service tier — request gateway, bounded placement
-    queue, worker pool — under seeded open-loop diurnal/bursty traffic
-    with a deterministic overload surge, and report per-request e2e
-    latency joined with the SLO engine's burn-rate verdicts.
-
-    With ``--compare-shedding`` (the headline mode) the identical seeded
-    overload runs twice — bounded backlog (shedding on) vs unbounded —
-    and the exit status is nonzero unless shedding protects the e2e
-    latency SLO: the surge must exhaust the latency error budget with
-    shedding off while the bounded run keeps p99 inside its threshold —
-    the ``service`` ledger's ``shedding_protects_slo`` gate.
-    """
-    from ..service.report import run_service, run_service_comparison
-    kwargs = _campaign_kwargs(
-        args, scheduler=args.scheduler, users=args.users,
-        duration=args.duration, workers=args.workers,
-        backpressure=args.backpressure,
-        requests_per_user_hour=args.rate,
-        surge_multiplier=args.surge,
-        slo_threshold=args.slo_threshold,
-        host_slots=args.host_slots)
-    try:
-        if args.compare_shedding:
-            cmp = run_service_comparison(queue_cap=args.queue_cap,
-                                         **kwargs)
-            print(cmp.summary(), file=out)
-            print(file=out)
-            print(cmp.reports["shedding"].summary(), file=out)
-            doc = cmp.to_dict()
-            _write_out(args.out, doc, "service comparison", out)
-            if not ledger.shedding_protects_slo(doc):
-                print("ERROR: shedding does not protect the e2e latency "
-                      "SLO under this overload", file=out)
-                return 1
-            return 0
-        report = run_service(queue_cap=args.queue_cap, **kwargs)
-        print(report.summary(), file=out)
-        _write_out(args.out, report.to_dict(), "ServiceReport", out)
-        if report.latency_budget_exhausted and not args.allow_exhausted:
-            print("ERROR: e2e latency error budget exhausted", file=out)
-            return 1
-        return 0
-    except (LegionError, ValueError) as exc:
-        print(f"serve error: {exc}", file=out)
-        return 2
-
-
-def cmd_gameday(args: argparse.Namespace, out) -> int:
-    """Run a recovery game day: chaos kills workers/hosts/links under
-    live service traffic while the journal/lease/Supervisor machinery
-    keeps every request owned, and the report grades ground truth —
-    lost requests and duplicate placements must both be zero, with at
-    least one orphan actually recovered.
-
-    With ``--compare-restore`` (the headline mode) the identical seeded
-    game day runs twice — straight through, then torn down mid-run and
-    restored from a checkpoint — and the exit status is nonzero unless
-    both runs pass *and* their report cores match byte for byte — every
-    gate of the ``gameday`` ledger.
-    """
-    from ..recovery import run_gameday, run_gameday_comparison
-    kwargs = dict(seed=args.seed, users=args.users, duration=args.duration,
-                  workers=args.workers, queue_cap=args.queue_cap,
-                  backpressure=args.backpressure, scheduler=args.scheduler,
-                  work=args.work, requests_per_user_hour=args.rate,
-                  surge_multiplier=args.surge, kills=args.kills,
-                  lease_ttl=args.lease_ttl,
-                  heartbeat_interval=args.heartbeat_interval,
-                  scan_interval=args.scan_interval,
-                  n_domains=args.domains, hosts_per_domain=args.hosts,
-                  platform_mix=args.platforms, host_slots=args.host_slots,
-                  background_load=args.load)
-    try:
-        if args.compare_restore:
-            cmp = run_gameday_comparison(
-                checkpoint_at=args.checkpoint_at or None, **kwargs)
-            print(cmp.summary(), file=out)
-            doc = cmp.to_dict()
-            _write_out(args.out, doc, "gameday comparison", out)
-            failed = ledger.LEDGERS["gameday"].failed(doc)
-            for gate in failed:
-                print(f"ERROR: gameday gate {gate} failed", file=out)
-            return 1 if failed else 0
-        report = run_gameday(checkpoint_at=args.checkpoint_at or None,
-                             **kwargs)
-        print(report.summary(), file=out)
-        _write_out(args.out, report.to_dict(), "GamedayReport", out)
-        return 0 if report.passed else 1
-    except (LegionError, ValueError) as exc:
-        print(f"gameday error: {exc}", file=out)
-        return 2
 
 
 def cmd_ledger(args: argparse.Namespace, out) -> int:
@@ -763,57 +790,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hosts", help="list simulated hosts")
-    _add_testbed_args(p)
+    _testbed_flags(p)
     p.set_defaults(fn=cmd_hosts)
 
     p = sub.add_parser("vaults", help="list vaults")
-    _add_testbed_args(p)
+    _testbed_flags(p)
     p.set_defaults(fn=cmd_vaults)
 
     p = sub.add_parser("context", help="walk the context space")
-    _add_testbed_args(p)
+    _testbed_flags(p)
     p.set_defaults(fn=cmd_context)
 
     p = sub.add_parser("query", help="query the Collection")
-    _add_testbed_args(p)
+    _testbed_flags(p)
     p.add_argument("expression", help="Collection query expression")
     p.set_defaults(fn=cmd_query)
 
     p = sub.add_parser("run", help="schedule instances of a class")
-    _add_testbed_args(p)
-    p.add_argument("--count", type=int, default=4)
-    p.add_argument("--work", type=float, default=200.0)
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
-    p.add_argument("--wait", action="store_true",
-                   help="advance virtual time until completion")
+    _testbed_flags(p)
+    _workload_flags(p)
     p.add_argument("--trace", type=int, default=0, metavar="N",
                    help="print a sequence diagram of the first N "
                         "protocol invocations")
     p.add_argument("--trace-out", default="", metavar="FILE",
                    help="export span traces to FILE (Chrome trace-event "
                         "JSON; a .jsonl suffix dumps one span per line)")
-    p.add_argument("--chaos-profile", default="",
-                   help="arm a fault-injection campaign over the run "
-                        "(light | hosts | partitions | lossy | mixed | "
-                        "heavy)")
-    p.add_argument("--chaos-seed", type=int, default=0,
-                   help="campaign seed (independent of --seed)")
-    p.add_argument("--chaos-horizon", type=float, default=0.0,
-                   help="stop injecting after this much virtual time "
-                        "(default: profile horizon)")
+    _chaos_flags(p)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("metrics",
                        help="run a workload and export the metrics "
                             "snapshot")
-    _add_testbed_args(p)
-    p.add_argument("--count", type=int, default=4)
-    p.add_argument("--work", type=float, default=200.0)
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
-    p.add_argument("--wait", action="store_true",
-                   help="advance virtual time until completion")
+    _testbed_flags(p)
+    _workload_flags(p)
     p.add_argument("--format", choices=("table", "json", "prom"),
                    default="table",
                    help="output format (default table)")
@@ -832,13 +841,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "per request, steps = cross-trace per-step "
                         "count/mean/p95 aggregate, chrome = trace-event "
                         "JSON")
-    _add_testbed_args(p)
-    p.add_argument("--count", type=int, default=4)
-    p.add_argument("--work", type=float, default=200.0)
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
-    p.add_argument("--wait", action="store_true",
-                   help="advance virtual time until completion")
+    _testbed_flags(p)
+    _workload_flags(p)
     p.add_argument("--out", default="", metavar="FILE",
                    help="write output to FILE instead of stdout "
                         "(chrome mode + .jsonl suffix dumps spans as "
@@ -849,120 +853,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a federated workload and print ring "
                             "layout, replica placement, and "
                             "gossip/staleness stats")
-    _add_testbed_args(p)
-    p.add_argument("--count", type=int, default=4)
-    p.add_argument("--work", type=float, default=200.0)
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
-    p.add_argument("--wait", action="store_true",
-                   help="advance virtual time until completion")
+    _testbed_flags(p)
+    _workload_flags(p)
     p.set_defaults(fn=cmd_federation)
 
-    p = sub.add_parser("chaos",
-                       help="run a seeded fault-injection campaign and "
-                            "report survival statistics")
-    _add_testbed_args(p)
-    p.add_argument("--profile", default="mixed",
-                   help="campaign profile: light | hosts | partitions | "
-                        "lossy | mixed | heavy (default mixed)")
-    p.add_argument("--chaos-seed", type=int, default=0,
-                   help="campaign seed (independent of --seed)")
-    p.add_argument("--waves", type=int, default=6,
-                   help="placement waves to attempt (default 6)")
-    p.add_argument("--count", type=int, default=4,
-                   help="instances requested per wave (default 4)")
-    p.add_argument("--work", type=float, default=250.0)
-    p.add_argument("--wave-interval", type=float, default=90.0,
-                   help="virtual seconds between waves (default 90)")
-    p.add_argument("--horizon", type=float, default=0.0,
-                   help="campaign horizon override in virtual seconds")
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
-    p.add_argument("--retry", action="store_true",
-                   help="enable the RetryPolicy resilience layer")
-    p.add_argument("--guardrails", action="store_true",
-                   help="enable the guardrails self-healing layer")
-    p.add_argument("--compare-retry", action="store_true",
-                   help="run the identical campaign retry-off then "
-                        "retry-on and print both survival rates")
-    p.add_argument("--out", default="", metavar="FILE",
-                   help="write the ResilienceReport JSON to FILE")
-    p.set_defaults(fn=cmd_chaos)
-
-    p = sub.add_parser("guardrails",
-                       help="benchmark the guardrails self-healing layer "
-                            "against retries-only and bare baselines")
-    _add_testbed_args(p)
-    p.add_argument("--profile", default="hosts",
-                   help="campaign profile (default hosts — crash-"
-                        "dominated, the guardrails sweet spot)")
-    p.add_argument("--chaos-seed", type=int, default=1,
-                   help="campaign seed (default 1)")
-    p.add_argument("--waves", type=int, default=6,
-                   help="placement waves to attempt (default 6)")
-    p.add_argument("--count", type=int, default=4,
-                   help="instances requested per wave (default 4)")
-    p.add_argument("--work", type=float, default=250.0)
-    p.add_argument("--wave-interval", type=float, default=90.0,
-                   help="virtual seconds between waves (default 90)")
-    p.add_argument("--horizon", type=float, default=0.0,
-                   help="campaign horizon override in virtual seconds")
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
-    p.add_argument("--compare", action="store_true",
-                   help="print only the three-mode comparison table "
-                        "(omits the full guardrails-mode report)")
-    p.add_argument("--events", action="store_true",
-                   help="include per-fault event logs in --out JSON")
-    p.add_argument("--out", default="", metavar="FILE",
-                   help="write the comparison JSON to FILE")
-    p.set_defaults(fn=cmd_guardrails)
-
-    p = sub.add_parser("slo",
-                       help="run a workload under windowed sampling and "
-                            "report SLO health: error budgets, burn-rate "
-                            "alerts, and breached-window exemplar traces")
-    _add_testbed_args(p)
-    p.add_argument("--window", type=float, default=30.0,
-                   help="sampling window in virtual seconds (default 30)")
-    p.add_argument("--spec", default="", metavar="FILE",
-                   help="JSON file of SLO objectives ({\"slos\": [...]}; "
-                        "default: the stock Legion objectives)")
-    p.add_argument("--waves", type=int, default=6,
-                   help="placement waves to attempt (default 6)")
-    p.add_argument("--count", type=int, default=4,
-                   help="instances requested per wave (default 4)")
-    p.add_argument("--work", type=float, default=250.0)
-    p.add_argument("--wave-interval", type=float, default=90.0,
-                   help="virtual seconds between waves (default 90)")
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
-    p.add_argument("--chaos-profile", default="",
-                   help="arm a fault-injection campaign over the run "
-                        "(light | hosts | partitions | lossy | mixed | "
-                        "heavy)")
-    p.add_argument("--chaos-seed", type=int, default=0,
-                   help="campaign seed (independent of --seed)")
-    p.add_argument("--chaos-horizon", type=float, default=0.0,
-                   help="stop injecting after this much virtual time")
-    p.add_argument("--retry", action="store_true",
-                   help="enable the RetryPolicy resilience layer")
-    p.add_argument("--guardrails", action="store_true",
-                   help="enable the guardrails self-healing layer")
-    p.add_argument("--compare-guardrails", action="store_true",
-                   help="run the identical seeded campaign off / "
-                        "retries / guardrails and compare SLO minutes "
-                        "lost across the three modes")
-    p.add_argument("--format", choices=("table", "json"),
-                   default="table",
-                   help="output format (default table)")
-    p.add_argument("--no-windows", action="store_true",
-                   help="omit per-window verdict rows from the report")
-    p.add_argument("--allow-exhausted", action="store_true",
-                   help="exit 0 even when an error budget is exhausted")
-    p.add_argument("--out", default="", metavar="FILE",
-                   help="write the health report JSON to FILE")
-    p.set_defaults(fn=cmd_slo)
+    for command, entry in CAMPAIGNS.items():
+        p = sub.add_parser(command, help=entry.help)
+        for flags in entry.flags:
+            flags(p)
+        p.add_argument("--compare", action="store_true",
+                       help=entry.compare_help)
+        p.add_argument("--out", default="", metavar="FILE",
+                       help="write the report (with --compare, the "
+                            "comparison) JSON to FILE")
+        p.set_defaults(fn=cmd_campaign, **entry.defaults)
 
     p = sub.add_parser("scale",
                        help="run the scale campaign: placement waves vs "
@@ -976,8 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="instances requested per wave (default 6)")
     p.add_argument("--seed", type=int, default=0,
                    help="experiment seed (default 0)")
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
+    p.add_argument("--scheduler", default="irs", help=SCHEDULERS)
     p.add_argument("--members", type=int, default=4096,
                    help="member count for the query-engine microbench "
                         "(default 4096)")
@@ -986,169 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="", metavar="FILE",
                    help="write the scale ledger JSON to FILE")
     p.set_defaults(fn=cmd_scale)
-
-    p = sub.add_parser("economy",
-                       help="run a computational-economy campaign: "
-                            "budgets, deadlines, market pricing, and "
-                            "reservation auctions")
-    _add_testbed_args(p)
-    p.add_argument("--mode", choices=("time", "cost"), default="cost",
-                   help="economy optimization mode: minimize completion "
-                        "time within budget, or cost within deadline "
-                        "(default cost)")
-    p.add_argument("--scheduler", default="economy",
-                   help="economy | random | irs | cost (single-report "
-                        "mode only; default economy)")
-    p.add_argument("--users", type=int, default=2,
-                   help="concurrent users, each with their own budget, "
-                        "deadline, and application class (default 2)")
-    p.add_argument("--budget", type=float, default=40.0,
-                   help="per-user budget in currency units (default 40)")
-    p.add_argument("--deadline", type=float, default=900.0,
-                   help="per-user experiment deadline in virtual seconds "
-                        "from first submission (default 900)")
-    p.add_argument("--deadline-safety", type=float, default=0.6,
-                   help="fraction of the remaining deadline a host's "
-                        "estimated completion must fit within "
-                        "(default 0.6)")
-    p.add_argument("--waves", type=int, default=6,
-                   help="placement waves per user (default 6)")
-    p.add_argument("--count", type=int, default=2,
-                   help="instances requested per user per wave "
-                        "(default 2)")
-    p.add_argument("--work", type=float, default=250.0)
-    p.add_argument("--wave-interval", type=float, default=90.0,
-                   help="virtual seconds between waves (default 90)")
-    p.add_argument("--chaos-profile", default="",
-                   help="arm a fault-injection campaign over the run "
-                        "(light | hosts | partitions | lossy | mixed | "
-                        "heavy)")
-    p.add_argument("--chaos-seed", type=int, default=0,
-                   help="campaign seed (independent of --seed)")
-    p.add_argument("--guardrails", action="store_true",
-                   help="enable the guardrails self-healing layer")
-    p.add_argument("--retry", action="store_true",
-                   help="enable the RetryPolicy resilience layer")
-    p.add_argument("--compare-baselines", action="store_true",
-                   help="replay the identical seeded campaign under "
-                        "random/irs/cost baselines; exit nonzero unless "
-                        "the economy beats random and irs on both "
-                        "deadline-miss rate and total cost")
-    p.add_argument("--out", default="", metavar="FILE",
-                   help="write the report/comparison JSON to FILE")
-    p.set_defaults(fn=cmd_economy)
-
-    p = sub.add_parser("serve",
-                       help="run the live service tier under seeded "
-                            "open-loop traffic: request gateway, bounded "
-                            "placement queue, worker pool, and SLO "
-                            "verdicts")
-    _add_testbed_args(p)
-    # the serve campaign's stock world (matches run_service defaults)
-    p.set_defaults(domains=3, hosts=6, platforms=3, load=0.3)
-    p.add_argument("--users", type=int, default=1_000_000,
-                   help="traffic population size; arrival cost is "
-                        "O(requests), not O(users), so millions are fine "
-                        "(default 1000000)")
-    p.add_argument("--duration", type=float, default=240.0,
-                   help="open-loop traffic window in virtual seconds "
-                        "(default 240)")
-    p.add_argument("--workers", type=int, default=4,
-                   help="worker daemons draining the placement queue "
-                        "(default 4)")
-    p.add_argument("--queue-cap", type=int, default=64,
-                   help="bounded backlog size; 0 = unbounded, i.e. "
-                        "shedding off (default 64)")
-    p.add_argument("--backpressure", choices=BACKPRESSURE_MODES,
-                   default="shed",
-                   help="what a full backlog does to a new submit "
-                        "(default shed)")
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
-    p.add_argument("--work", type=float, default=10.0,
-                   help="work units per placed service instance "
-                        "(default 10)")
-    p.add_argument("--rate", type=float, default=0.0036,
-                   help="requests per user per hour (default 0.0036 — "
-                        "1 req/s at a million users)")
-    p.add_argument("--surge", type=float, default=12.0,
-                   help="overload surge rate multiplier through the "
-                        "middle fifth of the run (default 12)")
-    p.add_argument("--slo-threshold", type=float, default=30.0,
-                   help="e2e latency SLO threshold in virtual seconds "
-                        "(default 30)")
-    p.add_argument("--host-slots", type=int, default=8,
-                   help="reservation slots per host (default 8)")
-    p.add_argument("--compare-shedding", action="store_true",
-                   help="run the identical seeded overload with the "
-                        "bounded backlog on then off; exit nonzero "
-                        "unless shedding keeps p99 inside the SLO while "
-                        "the unbounded run exhausts its error budget")
-    p.add_argument("--allow-exhausted", action="store_true",
-                   help="exit 0 even when the e2e latency error budget "
-                        "is exhausted (single-run mode)")
-    p.add_argument("--out", default="", metavar="FILE",
-                   help="write the report/comparison JSON to FILE")
-    p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser("gameday",
-                       help="run a recovery game day: chaos kills "
-                            "workers under live service traffic; gates "
-                            "on zero lost requests, zero duplicate "
-                            "placements, and byte-identical "
-                            "checkpoint/restore")
-    _add_testbed_args(p)
-    # the game day runs on the serve campaign's stock world
-    p.set_defaults(domains=3, hosts=6, platforms=3, load=0.3)
-    p.add_argument("--users", type=int, default=1_000_000,
-                   help="traffic population size (default 1000000)")
-    p.add_argument("--duration", type=float, default=240.0,
-                   help="open-loop traffic window in virtual seconds "
-                        "(default 240)")
-    p.add_argument("--workers", type=int, default=4,
-                   help="worker daemons draining the placement queue "
-                        "(default 4)")
-    p.add_argument("--queue-cap", type=int, default=64,
-                   help="bounded backlog size; 0 = unbounded "
-                        "(default 64)")
-    p.add_argument("--backpressure", choices=BACKPRESSURE_MODES,
-                   default="shed",
-                   help="what a full backlog does to a new submit "
-                        "(default shed)")
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
-    p.add_argument("--work", type=float, default=10.0,
-                   help="work units per placed service instance "
-                        "(default 10)")
-    p.add_argument("--rate", type=float, default=0.0036,
-                   help="requests per user per hour (default 0.0036)")
-    p.add_argument("--surge", type=float, default=12.0,
-                   help="overload surge rate multiplier (default 12)")
-    p.add_argument("--kills", type=int, default=2,
-                   help="worker crashes injected inside the surge "
-                        "(default 2; the pass gate requires >= 2)")
-    p.add_argument("--lease-ttl", type=float, default=20.0,
-                   help="request-ownership lease TTL in virtual "
-                        "seconds (default 20)")
-    p.add_argument("--heartbeat-interval", type=float, default=5.0,
-                   help="worker lease-renewal period (default 5)")
-    p.add_argument("--scan-interval", type=float, default=5.0,
-                   help="Supervisor expired-lease scan period "
-                        "(default 5)")
-    p.add_argument("--checkpoint-at", type=float, default=0.0,
-                   help="from this virtual time on, poll for a safe "
-                        "point, then checkpoint/teardown/restore the "
-                        "tier mid-run (default 0 = off)")
-    p.add_argument("--host-slots", type=int, default=8,
-                   help="reservation slots per host (default 8)")
-    p.add_argument("--compare-restore", action="store_true",
-                   help="run the identical seeded game day straight "
-                        "through and with a mid-run checkpoint/restore; "
-                        "exit nonzero unless both pass and their report "
-                        "cores are byte-identical")
-    p.add_argument("--out", default="", metavar="FILE",
-                   help="write the report/comparison JSON to FILE")
-    p.set_defaults(fn=cmd_gameday)
 
     p = sub.add_parser("ledger",
                        help="check or regenerate the committed "
@@ -1163,7 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ledger)
 
     p = sub.add_parser("bench", help="compare schedulers on one workload")
-    _add_testbed_args(p)
+    _testbed_flags(p)
     p.add_argument("--count", type=int, default=6)
     p.add_argument("--work", type=float, default=200.0)
     p.add_argument("--scheduler", action="append",

@@ -17,7 +17,6 @@ from repro.chaos import (
     RetryLayer,
     RetryPolicy,
     generate_campaign,
-    run_campaign,
 )
 from repro.chaos.faults import (
     DomainPartition,
@@ -36,6 +35,7 @@ from repro.errors import (
     MessageLostError,
 )
 from repro.hosts import MachineSpec, SimJob
+from repro.scenario import chaos, run_scenario
 from repro.tools.cli import main as cli_main
 from repro.workload import build_testbed
 from repro.workload.testbed import TestbedSpec
@@ -445,9 +445,10 @@ class TestRevertGuarantee:
 
 class TestCampaigns:
     def test_same_seed_reports_are_identical(self):
-        kwargs = dict(waves=3, per_wave=2, profile="mixed", chaos_seed=3)
-        a = run_campaign(**kwargs)
-        b = run_campaign(**kwargs)
+        kwargs = dict(waves=3, per_wave=2, chaos_profile="mixed",
+                      chaos_seed=3)
+        a = run_scenario(chaos(**kwargs))
+        b = run_scenario(chaos(**kwargs))
         assert a.to_json() == b.to_json()
         assert a.placements == b.placements
         assert a.residual_faults == []
@@ -455,9 +456,10 @@ class TestCampaigns:
     def test_retry_strictly_improves_survival_under_loss(self):
         """Acceptance criterion: with the identical fault timeline, the
         retry layer yields strictly more successful placements."""
-        kwargs = dict(waves=6, per_wave=3, profile="lossy", chaos_seed=9)
-        base = run_campaign(retry=False, **kwargs)
-        with_retry = run_campaign(retry=True, **kwargs)
+        kwargs = dict(waves=6, per_wave=3, chaos_profile="lossy",
+                      chaos_seed=9)
+        base = run_scenario(chaos(retry=False, **kwargs))
+        with_retry = run_scenario(chaos(retry=True, **kwargs))
         assert base.residual_faults == []
         assert with_retry.residual_faults == []
         assert with_retry.transport_retries \
@@ -468,8 +470,8 @@ class TestCampaigns:
                 > base.placement_success_rate)
 
     def test_report_json_round_trip(self):
-        report = run_campaign(waves=2, per_wave=2, profile="light",
-                              chaos_seed=1)
+        report = run_scenario(chaos(waves=2, per_wave=2,
+                                    chaos_profile="light", chaos_seed=1))
         data = json.loads(report.to_json())
         assert data["profile"] == "light"
         assert data["faults"]["residual_faults"] == []
@@ -482,7 +484,7 @@ class TestChaosCli:
     def test_chaos_subcommand_runs_and_writes_report(self, tmp_path):
         out = StringIO()
         path = tmp_path / "report.json"
-        rc = cli_main(["chaos", "--profile", "light", "--waves", "2",
+        rc = cli_main(["chaos", "--chaos-profile", "light", "--waves", "2",
                        "--count", "2", "--chaos-seed", "1",
                        "--out", str(path)], out=out)
         assert rc == 0
@@ -494,8 +496,8 @@ class TestChaosCli:
 
     def test_compare_retry_flag(self):
         out = StringIO()
-        rc = cli_main(["chaos", "--profile", "light", "--waves", "2",
-                       "--count", "2", "--compare-retry"], out=out)
+        rc = cli_main(["chaos", "--chaos-profile", "light", "--waves", "2",
+                       "--count", "2", "--compare"], out=out)
         assert rc == 0
         assert "retry benefit" in out.getvalue()
 
@@ -508,7 +510,7 @@ class TestChaosCli:
 
     def test_unknown_profile_fails_cleanly(self):
         out = StringIO()
-        rc = cli_main(["chaos", "--profile", "apocalypse",
+        rc = cli_main(["chaos", "--chaos-profile", "apocalypse",
                        "--waves", "1"], out=out)
         assert rc == 2
         assert "chaos error" in out.getvalue()

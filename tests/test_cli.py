@@ -220,7 +220,7 @@ class TestSLOCommand:
         assert code == 0
         doc = json.loads(path.read_text())
         assert doc["healthy"]
-        assert f"wrote SLO health report to {path}" in text
+        assert f"wrote slo report to {path}" in text
 
     def test_custom_spec_file(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -243,7 +243,7 @@ class TestSLOCommand:
 
     def test_compare_guardrails_reduces_slo_damage(self):
         code, text = run_cli(
-            "slo", "--compare-guardrails", *self.CHAOS,
+            "slo", "--compare", *self.CHAOS,
             "--domains", "3", "--hosts", "6", "--platforms", "3",
             "--waves", "8")
         assert code == 0

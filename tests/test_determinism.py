@@ -191,7 +191,7 @@ SPAN_EXPORT_SNAPSHOTS = {
     "placement": (
         "02673a6d9013871756358caeb5ed0a277339905888a1c94a040064369ec94f73"),
     "service": (
-        "08caf8b292b329098c81c1ed708678e4e64f3a62a2aaf2c3b68daec8916a94ba"),
+        "060af66b3ed0e20c9d8b2b0a719c3f47f38ff3fb5f84c1b7e37995fc228a3cad"),
 }
 
 

@@ -169,3 +169,34 @@ class TestMetasystemReferences:
         missing = sorted({f"{where}: {name}" for where, name in refs
                           if not hasattr(meta, name)})
         assert missing == []
+
+
+def scenario_table_names():
+    """First-column names of the table headed ``| scenario | driver |``
+    in docs/architecture.md."""
+    names, in_table = set(), False
+    for line in read("docs/architecture.md").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("|"):
+            in_table = False
+        elif cells[:2] == ["scenario", "driver"]:
+            in_table = True
+        elif in_table and not set(cells[0]) <= set("-"):
+            names.add(cells[0].strip("`"))
+    return names
+
+
+class TestScenarioCatalogue:
+    def test_every_scenario_has_a_subcommand_and_a_table_row(self):
+        from repro.scenario import SCENARIOS
+        from repro.tools.cli import CAMPAIGNS, build_parser
+
+        subcommands = set(build_parser()._subparsers._group_actions[0]
+                          .choices)
+        # a campaign subcommand runs its scenario; scale has its own
+        run_by = {entry.scenario for entry in CAMPAIGNS.values()}
+        assert set(CAMPAIGNS) <= subcommands
+        missing = [name for name in SCENARIOS
+                   if name not in run_by and name not in subcommands]
+        assert missing == []
+        assert scenario_table_names() == set(SCENARIOS)

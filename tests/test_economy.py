@@ -10,13 +10,13 @@ from repro.accounting.ledger import ChargeRecord
 from repro.economy import (
     Ask,
     BudgetManager,
+    EconomyComparison,
     EconomyConfig,
     EconomyLayer,
     SealedBidAuction,
-    run_economy,
-    run_economy_comparison,
 )
 from repro.errors import BudgetExceededError
+from repro.scenario import compare, economy, run_scenario
 from repro.workload import wait_for_completion
 
 
@@ -297,21 +297,22 @@ class TestCampaign:
               hosts_per_domain=3, platform_mix=2)
 
     def test_report_is_deterministic(self):
-        a = run_economy(**self.KW)
-        b = run_economy(**self.KW)
+        a = run_scenario(economy(**self.KW))
+        b = run_scenario(economy(**self.KW))
         assert a.to_json() == b.to_json()
         assert a.instances_requested == 4
         assert a.auction is not None
 
     def test_never_overspends_any_budget(self):
-        report = run_economy(**self.KW)
+        report = run_scenario(economy(**self.KW))
         for user, stats in report.per_user.items():
             assert stats["overrun"] == pytest.approx(0.0)
             assert stats["spent"] <= self.KW["budget"] + 1e-6
         assert report.cost_overrun == pytest.approx(0.0)
 
     def test_comparison_gate_fields(self):
-        cmp = run_economy_comparison(baselines=("random",), **self.KW)
+        cmp = EconomyComparison(compare(economy(**self.KW), {
+            "economy": {}, "random": {"scheduler": "random"}}))
         data = cmp.to_dict()
         assert set(data["reports"]) == {"economy", "random"}
         assert isinstance(data["economy_beats_baselines"], bool)

@@ -38,10 +38,10 @@ from repro.guardrails import (
     CircuitBreaker,
     GuardrailConfig,
     GuardrailsLayer,
-    run_comparison,
 )
 from repro.hosts import MachineSpec
 from repro.net import AdministrativeDomain, NetLocation, Topology, Transport
+from repro.scenario import campaign
 from repro.sim import RngRegistry, Simulator
 from repro.tools.cli import main as cli_main
 
@@ -463,7 +463,7 @@ class TestCampaignComparison:
 
     @pytest.fixture(scope="class")
     def comparison(self):
-        return run_comparison(**self.BENCH_KWARGS)
+        return campaign(**self.BENCH_KWARGS)
 
     def test_guardrails_do_not_regress_survival(self, comparison):
         assert comparison.survival("guardrails") >= \
@@ -495,8 +495,8 @@ class TestCampaignComparison:
         so the determinism check is independent of the committed file)."""
         kwargs = dict(self.BENCH_KWARGS, waves=2, n_domains=2,
                       hosts_per_domain=4)
-        a = run_comparison(**kwargs)
-        b = run_comparison(**kwargs)
+        a = campaign(**kwargs)
+        b = campaign(**kwargs)
         assert a.to_json() == b.to_json()
 
 
@@ -524,7 +524,7 @@ class TestGuardrailsCli:
 
     def test_chaos_accepts_guardrails_flag(self):
         out = StringIO()
-        rc = cli_main(["chaos", "--profile", "hosts", "--retry",
+        rc = cli_main(["chaos", "--chaos-profile", "hosts", "--retry",
                        "--guardrails", "--waves", "2", "--domains", "2",
                        "--hosts", "3"], out=out)
         assert rc == 0

@@ -6,6 +6,7 @@ for hosts added before and after the install, a clean uninstall, and
 checkpoint audits built from the installed layers.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -14,13 +15,14 @@ import pytest
 
 from repro import MachineSpec, Metasystem
 from repro.chaos import ChaosLayer, RetryLayer
-from repro.economy import EconomyConfig, EconomyLayer, run_economy
+from repro.economy import EconomyConfig, EconomyLayer
 from repro.errors import LegionError, RecoveryError
 from repro.guardrails import GuardrailsLayer
 from repro.layer import SHIPPED_LAYERS, Layer
 from repro.obs.report import SamplerLayer
 from repro.recovery import RecoveryConfig, capture_checkpoint, restore_service
 from repro.recovery.checkpoint import AUDIT_KEYS
+from repro.scenario import economy, run_scenario
 from repro.service import ServiceConfig, ServiceLayer
 from repro.workload.testbed import TestbedSpec, build_testbed
 
@@ -168,14 +170,15 @@ class TestEconomyReadsInstalledLayer:
         second = meta.make_scheduler("economy-time", user="b")
         assert first.budgets is second.budgets is meta.economy.budgets
 
-    def test_run_economy_keeps_a_prebuilt_meta_economy(self):
-        meta = build_testbed(TestbedSpec(
-            seed=0, n_domains=1, hosts_per_domain=3, platform_mix=1,
-            layers=[EconomyLayer(EconomyConfig(repricing_jitter=0.0))]))
-        layer = meta.economy
-        report = run_economy(meta=meta, users=1, waves=1, per_wave=1,
-                             work=20.0, drain_time=200.0)
-        assert meta.economy is layer
+    def test_economy_scenario_meters_with_its_spec_layer(self):
+        layer = EconomyLayer(EconomyConfig(repricing_jitter=0.0))
+        scenario = economy(seed=0, n_domains=1, hosts_per_domain=3,
+                           platform_mix=1, users=1, waves=1, per_wave=1,
+                           work=20.0, drain_time=200.0)
+        scenario = dataclasses.replace(scenario, spec=dataclasses.replace(
+            scenario.spec, layers=[layer]))
+        report = run_scenario(scenario)
+        assert layer.ledger.total > 0
         assert report.total_cost == round(layer.ledger.total, 6)
 
 

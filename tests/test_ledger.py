@@ -1,17 +1,22 @@
 """Tests for the ledger contract (repro.bench.ledger).
 
-The contract tests use tiny toy ledgers so they stay fast; only the two
-quick campaigns check their committed files for real.
+The contract tests use tiny toy ledgers so they stay fast; every fully
+deterministic ledger is also checked against its committed file, and
+every ledger's ``legion-sim`` command must write it.
 """
 
 import dataclasses
+import io
 import itertools
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.bench import scale
-from repro.bench.ledger import LEDGERS, Ledger, check, write, write_json
+from repro.bench.ledger import (LEDGERS, Ledger, check, dump, write,
+                                write_json)
+from repro.tools.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -85,6 +90,26 @@ class TestRegistry:
         ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
         assert f"ledger: [{', '.join(LEDGERS)}]" in ci
 
-    @pytest.mark.parametrize("name", ["chaos", "slo"])
+    #: every fully deterministic ledger; scale's speed gate depends on the
+    #: machine, so it stays in CI's ledger matrix only
+    @pytest.mark.parametrize("name", ["chaos", "guardrails", "slo",
+                                      "economy", "service", "gameday"])
     def test_committed_ledger_is_fresh(self, name):
         assert check(LEDGERS[name], ROOT) == []
+
+    @pytest.mark.parametrize("name", list(LEDGERS))
+    def test_commands_write_the_committed_ledger(self, name, tmp_path):
+        """Each ledger's ``legion-sim`` command, given ``--out``, writes
+        the committed document (per half for slo; the deterministic part
+        for scale) byte for byte."""
+        ledger = LEDGERS[name]
+        committed = json.loads((ROOT / ledger.file).read_text())
+        assert ledger.commands
+        for key, argv in ledger.commands.items():
+            path = tmp_path / f"{key or name}.json"
+            main([*argv, "--out", str(path)], out=io.StringIO())
+            written = json.loads(path.read_text())
+            if key:
+                assert dump(written) == dump(committed[key]), key
+            else:
+                assert ledger.part(written) == ledger.part(committed)

@@ -38,9 +38,9 @@ from repro.recovery import (
     capture_checkpoint,
     restore_service,
     run_gameday,
-    run_gameday_comparison,
 )
 from repro.recovery.checkpoint import quiescence_blockers
+from repro.scenario import campaign
 from repro.service import ServiceConfig, ServiceLayer
 from repro.service.request import TERMINAL_STATES
 from repro.sim.kernel import grid_delay
@@ -410,7 +410,7 @@ class TestGameday:
         """The BENCH_gameday acceptance: >= 2 worker kills mid-run, zero
         lost, zero duplicates, at least one recovery, and the restored
         run byte-identical to the uninterrupted one."""
-        cmp = run_gameday_comparison(**LEDGERS["gameday"].kwargs)
+        cmp = campaign(**LEDGERS["gameday"].kwargs)
         assert cmp.straight.worker_kills >= 2
         assert cmp.straight.lost == 0
         assert cmp.straight.duplicates == 0
@@ -488,7 +488,7 @@ class TestGamedayCLI:
     def test_compare_restore_writes_ledger(self, tmp_path):
         out_file = tmp_path / "gameday.json"
         code, text = run_cli("gameday", "--seed", "7", "--duration",
-                             "120", "--compare-restore", "--out",
+                             "120", "--compare", "--out",
                              str(out_file))
         assert code == 0
         assert "restore byte-identical: yes" in text

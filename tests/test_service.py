@@ -18,13 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AdmissionRejected, LegionError
+from repro.scenario import campaign, run_scenario, service
 from repro.service import (
     PlacementQueue,
     ServiceConfig,
     ServiceLayer,
     TrafficModel,
-    run_service,
-    run_service_comparison,
 )
 from repro.service.gateway import ServiceAdmission
 from repro.service.request import ServiceRequest, TERMINAL_STATES
@@ -328,7 +327,7 @@ CAMPAIGN_KWARGS = dict(
 
 class TestServiceCampaign:
     def test_small_campaign_places_and_accounts_for_everything(self):
-        report = run_service(**CAMPAIGN_KWARGS)
+        report = run_scenario(service(**CAMPAIGN_KWARGS))
         assert report.placed > 0
         by_state = report.requests["by_state"]
         assert sum(by_state.values()) == report.requests["submitted"]
@@ -338,15 +337,15 @@ class TestServiceCampaign:
         assert report.slo is not None
 
     def test_saturated_drained_cycle_is_byte_identical(self):
-        first = run_service(**CAMPAIGN_KWARGS)
-        second = run_service(**CAMPAIGN_KWARGS)
+        first = run_scenario(service(**CAMPAIGN_KWARGS))
+        second = run_scenario(service(**CAMPAIGN_KWARGS))
         assert first.queue["peak_depth"] == CAMPAIGN_KWARGS["queue_cap"]
         assert first.shed > 0  # the surge saturated the backlog
         assert first.to_json() == second.to_json()
 
     def test_comparison_requires_bounded_cap(self):
         with pytest.raises(ValueError):
-            run_service_comparison(queue_cap=0)
+            campaign(comparison="shedding", queue_cap=0)
 
 
 class TestServeCLI:

@@ -262,27 +262,27 @@ class TestMetasystemWiring:
         assert report["healthy"]
 
     def test_campaign_slo_summary_is_conditional(self):
-        from repro.chaos.campaign import run_campaign
-        with_slo = run_campaign(profile="hosts", chaos_seed=1, seed=0,
-                                waves=3, include_events=False,
-                                sampler_window=30.0)
+        from repro.scenario import chaos, run_scenario
+        with_slo = run_scenario(chaos(chaos_profile="hosts", chaos_seed=1,
+                                      seed=0, waves=3, include_events=False,
+                                      sampler_window=30.0))
         assert with_slo.slo and "slo" in with_slo.to_dict()
         assert with_slo.slo["windows"] > 0
-        without = run_campaign(profile="hosts", chaos_seed=1, seed=0,
-                               waves=3, include_events=False)
+        without = run_scenario(chaos(chaos_profile="hosts", chaos_seed=1,
+                                     seed=0, waves=3, include_events=False))
         assert not without.slo
         assert "slo" not in without.to_dict()
 
     def test_guardrails_comparison_gains_slo_benefit(self):
-        from repro.guardrails.compare import run_comparison
-        cmp = run_comparison(profile="hosts", chaos_seed=1, seed=0,
-                             waves=4, sampler_window=30.0)
+        from repro.scenario import campaign
+        cmp = campaign(comparison="guardrails", chaos_profile="hosts",
+                       chaos_seed=1, seed=0, waves=4, sampler_window=30.0)
         assert cmp.has_slo
         doc = cmp.to_dict()
         assert "slo_minutes_saved" in doc["benefit"]
         assert "slo minutes lost" in cmp.summary()
-        plain = run_comparison(profile="hosts", chaos_seed=1, seed=0,
-                               waves=4)
+        plain = campaign(comparison="guardrails", chaos_profile="hosts",
+                         chaos_seed=1, seed=0, waves=4)
         assert not plain.has_slo
         assert "slo_minutes_saved" not in plain.to_dict()["benefit"]
 

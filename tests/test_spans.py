@@ -4,6 +4,7 @@ The tentpole of the observability layer: per-request span trees over the
 13-step placement protocol, with deterministic IDs, a critical-path
 analysis, and Chrome trace-event export (docs/observability.md)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -30,12 +31,8 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.obs.trace_export import children_of, dominant_step, self_time
-from repro.service.report import run_service
-from repro.workload import (
-    TestbedSpec,
-    build_testbed,
-    implementations_for_all_platforms,
-)
+from repro.scenario import run_scenario, service
+from repro.service.report import service_report
 
 
 class FakeClock:
@@ -335,15 +332,17 @@ class TestTracerBridge:
 
 def _service_run(tracing):
     """A short seeded service campaign with chaos and guardrails on."""
-    meta = build_testbed(TestbedSpec(
-        seed=5, n_domains=2, hosts_per_domain=4, host_slots=8,
-        background_load_mean=0.3, tracing=tracing,
-        layers=[GuardrailsLayer(),
-                ChaosLayer(profile="mixed", chaos_seed=3, horizon=120.0)]))
-    meta.place_collection("dom0")
-    meta.place_enactor("dom0")
-    report = run_service(meta=meta, duration=120.0, workers=3,
-                         queue_cap=8, surge_multiplier=4.0, drain_time=300.0)
+    scenario = service(seed=5, n_domains=2, hosts_per_domain=4,
+                       duration=120.0, workers=3, queue_cap=8,
+                       surge_multiplier=4.0, drain_time=300.0)
+    chaos = ChaosLayer(profile="mixed", chaos_seed=3, horizon=120.0)
+    scenario = dataclasses.replace(
+        scenario,
+        spec=dataclasses.replace(
+            scenario.spec, tracing=tracing,
+            layers=[GuardrailsLayer(), chaos, *scenario.spec.layers]),
+        report=lambda run: (run.meta, service_report(run)))
+    meta, report = run_scenario(scenario)
     snapshot = build_snapshot(meta.metrics)
     # the only families tracing may touch: span-derived exemplars and
     # the retained-span gauge
@@ -362,6 +361,7 @@ def _service_run(tracing):
                      for r in meta.service.gateway.requests.values()],
         "metrics": snapshot,
         "report": report.to_json(),
+        "injected": chaos.injector.stats()["injected"],
     }
 
 
@@ -372,8 +372,7 @@ class TestTracingIsTransparent:
         off_meta, off_run = _service_run("off")
         # the workload is non-trivial and the modes really differ
         assert spans_run["requests"]
-        injected = spans_meta.chaos.injector.stats()["injected"]
-        assert sum(injected.values()) > 0
+        assert sum(spans_run["injected"].values()) > 0
         assert len(spans_meta.spans) > 0 and len(off_meta.spans) == 0
         # the report's latency section comes from the gateway's request
         # records, so it is there with tracing off as well

@@ -12,10 +12,12 @@ shipping the cache at all — cached and uncached runs place byte-identical
 schedules, including under a seeded chaos campaign.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import Implementation, MachineSpec, Metasystem, ObjectClassRequest
-from repro.chaos import run_campaign
+from repro.scenario import chaos, run_scenario
 from repro.workload.testbed import TestbedSpec, build_testbed
 
 
@@ -145,20 +147,18 @@ class TestPlacementEquivalence:
                 < uncached_sched.collection_queries)
 
     def _campaign(self, viable_cache):
-        # prebuilt testbed with the Collection left *unlocated*: queries
+        # the Collection left *unlocated*: queries
         # are then free of transport latency, so caching cannot shift
         # virtual time and any divergence would be a semantic cache bug
-        meta = build_testbed(TestbedSpec(
-            seed=4, n_domains=2, hosts_per_domain=4, platform_mix=2,
-            background_load_mean=0.5))
-        real = meta.make_scheduler
-        meta.make_scheduler = (
-            lambda kind="random", **kw:
-            real(kind, viable_cache=viable_cache, **kw))
-        return run_campaign(profile="hosts", chaos_seed=3, seed=4,
-                            waves=4, per_wave=3, work=100.0,
-                            wave_interval=60.0, include_events=False,
-                            meta=meta)
+        scenario = chaos(chaos_profile="hosts", chaos_seed=3, seed=4,
+                         n_domains=2, hosts_per_domain=4, platform_mix=2,
+                         background_load=0.5, waves=4, per_wave=3,
+                         work=100.0, wave_interval=60.0,
+                         include_events=False)
+        return run_scenario(dataclasses.replace(
+            scenario, placed=False, driver=dataclasses.replace(
+                scenario.driver, scheduler=lambda meta, _user:
+                meta.make_scheduler("irs", viable_cache=viable_cache))))
 
     def test_chaos_campaign_placements_byte_identical(self):
         cached = self._campaign(viable_cache=True)
