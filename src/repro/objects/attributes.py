@@ -31,6 +31,12 @@ def _check_name(name: Any) -> None:
         raise TypeError("attribute names must be non-empty strings")
 
 
+def _same_item_types(old: List[Scalar], value: List[Any]) -> bool:
+    """Whether two equal lists hold the same element types, so ``[1]``
+    does not stand in for ``[1.0]``."""
+    return all(type(a) is type(b) for a, b in zip(old, value))
+
+
 def _check_value(name: str, value: Any) -> AttrValue:
     if isinstance(value, _SCALARS):
         return value
@@ -68,11 +74,12 @@ class AttributeDatabase:
         """Write every attribute in ``values`` at ``now`` — the bulk form
         of :meth:`set`, and the host re-assessment hot path.
 
-        A value equal to the stored one *and of the same type* is kept
-        without re-validation (so ``1``, ``1.0`` and ``True`` stay
-        distinct); new or changed values are validated once.  Every name
-        is stamped ``now`` whether or not its value changed, since
-        :meth:`updated_at` means "last write".  An invalid name or value
+        A value equal to the stored one *and of the same type*, element by
+        element for lists, is kept without re-validation (so ``1``,
+        ``1.0`` and ``True`` stay distinct, in lists too); new or changed
+        values are validated once.  Every name is stamped ``now`` whether
+        or not its value changed, since :meth:`updated_at` means "last
+        write".  An invalid name or value
         raises :class:`TypeError` before anything is written.
         """
         if not values:
@@ -81,7 +88,9 @@ class AttributeDatabase:
         changed: Dict[str, AttrValue] = {}
         for name, value in values.items():
             old = attrs.get(name, _MISSING)
-            if type(old) is not type(value) or old != value:
+            if (type(old) is not type(value) or old != value
+                    or (type(value) is list
+                        and not _same_item_types(old, value))):
                 _check_name(name)
                 changed[name] = _check_value(name, value)
         attrs.update(changed)

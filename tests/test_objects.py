@@ -148,6 +148,13 @@ class TestBulkUpdate:
                 value.append("mutated")
         assert _state(bulk) == before
 
+    def test_update_replaces_a_list_whose_element_types_differ(self):
+        db = AttributeDatabase()
+        db.update({"d": [1.0, True]}, now=1.0)
+        db.update({"d": [1, 1]}, now=2.0)
+        assert _typed(db["d"]) == _typed([1, 1])
+        assert db.updated_at("d") == 2.0
+
 
 class TestLifecycle:
     def make(self):
